@@ -74,13 +74,21 @@ def _read_word_line(path: str) -> str:
     raise SourceError(f"no word found in {'stdin' if path == '-' else path}")
 
 
-def _infer_word(text: str) -> Word:
-    biggest = max((int(c) for c in text if c.isdigit()), default=0)
-    return parse_word(text, max(2, biggest + 1))
+def _infer_word(text: str, alphabet_size: int | None) -> Word:
+    if alphabet_size is None:
+        biggest = max((int(c) for c in text if c.isdigit()), default=0)
+        alphabet_size = max(2, biggest + 1)
+    return parse_word(text, alphabet_size)
 
 
-def parse_source(spec: str) -> Word:
-    """Resolve a word source spec (see module docstring) into a Word."""
+def parse_source(spec: str, alphabet_size: int | None = None) -> Word:
+    """Resolve a word source spec (see module docstring) into a Word.
+
+    Digit strings (``literal:`` and files) are read over ``alphabet_size``
+    letters when it is given, as it is inside ``image:`` where the
+    morphism's source alphabet applies; otherwise over the smallest
+    alphabet (at least 2) that holds their letters.
+    """
     head, _, rest = spec.partition(":")
     if head == "fixpoint":
         try:
@@ -93,18 +101,19 @@ def parse_source(spec: str) -> Word:
         if not inner:
             raise SourceError(f"image spec needs an inner source: {spec!r}")
         try:
-            return named(name).apply(parse_source(inner))
+            m = named(name)
         except KeyError as exc:
             raise SourceError(str(exc)) from exc
+        return m.apply(parse_source(inner, m.source_alphabet))
     if head == "complement":
         if not rest:
             raise SourceError("complement spec needs an inner source")
-        return complement(parse_source(rest))
+        return complement(parse_source(rest, alphabet_size))
     if head == "literal":
-        return _infer_word(rest)
+        return _infer_word(rest, alphabet_size)
     if head == "file":
-        return _infer_word(_read_word_line(rest))
-    return _infer_word(_read_word_line(spec))
+        return _infer_word(_read_word_line(rest), alphabet_size)
+    return _infer_word(_read_word_line(spec), alphabet_size)
 
 
 def _with_alphabet(w: Word, alphabet_size: int, what: str) -> Word:
@@ -310,6 +319,8 @@ def _cmd_complexity(args) -> int:
     t0 = time.perf_counter()
     if args.max_n < 1:
         raise SourceError("--max-n must be at least 1")
+    if args.safety < 0:
+        raise SourceError("--safety must be non-negative")
     w = _load_input(args, None, "complexity")
     if len(w) < args.safety * args.max_n:
         raise SourceError(

@@ -8,21 +8,22 @@ cubes, where y is empty).  A word is antiproper when its reverse is proper.
 A dominated occurrence with |x| = x_len and |y| = y_len is exactly a run
 of x_len + y_len + x_len consecutive agreements at distance p = x_len +
 y_len, and dominance forces x_len > y_len, so every occurrence sits inside
-an agreement run of length > 5p/2 - p.  The detector therefore first
-collects, per period, the agreement runs long enough to host an occurrence
-(a C-speed mask scan); words whose factors all have exponent at most 5/2
-produce no candidates at all and are dismissed in the first phase.  Only
-the surviving stretches are enumerated, in tie-break order, with O(1)
-Parikh comparisons against prefix counts.
+an agreement run of length at least p + p//2 + 1.  The detector therefore
+first collects, per period, the agreement runs long enough to host an
+occurrence, with the sampled scan of ``repetitions._agreement_runs``
+(about 4n/3p window probes at period p, so O(n log n) in all); words
+whose factors all have exponent at most 5/2 produce no candidates at all
+and are dismissed in this first phase.  Only the surviving stretches are
+enumerated, in tie-break order, with O(1) Parikh comparisons against
+prefix counts.
 """
 
 from __future__ import annotations
 
 import heapq
-import re
 from dataclasses import dataclass
 
-from .repetitions import _mismatch_mask
+from .repetitions import _agreement_runs
 from .words import AlphabetError, LengthLimitError, Word, reverse
 
 FORBIDDEN_FACTORS = (
@@ -99,9 +100,8 @@ def find_dominated_xyxyx(u: Word, *,
     p = 1
     while 2 * p + p // 2 + 1 <= n:
         need = p + p // 2 + 1
-        mask = _mismatch_mask(data, p)
-        for m in re.finditer(b"\x00{%d,}" % need, mask):
-            stretches.append((p, m.start(), m.end()))
+        for a, b in _agreement_runs(data, p, need):
+            stretches.append((p, a, b))
         p += 1
     if not stretches:
         return None

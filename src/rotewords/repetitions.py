@@ -8,13 +8,19 @@ boundary case of a factor whose exponent is exactly k is permitted only
 in the latter reading.
 
 Scanning all O(n^2) factors one smallest-period computation at a time is
-far too slow at the lengths the acceptance checks use, so the threshold
-scans here synchronise on the period instead: for each candidate period p
-the positions where w[i] == w[i+p] are computed in one shot by XOR-ing the
-two shifted byte strings as big integers, and maximal runs of agreement
-are then read off the zero bytes of the mask with a regex.  A factor of
-length l >= some threshold with period p exists iff the mask contains a
-zero-run of length l - p, which keeps the whole scan at C speed.
+far too slow, so the whole-word scans synchronise on the period instead:
+a factor of length l with period p is a run of l - p consecutive
+positions i where w[i] == w[i+p].  Every threshold question therefore
+asks, per period, for the maximal agreement runs of at least some length
+L, and L grows linearly with p.  ``_agreement_runs`` answers it by
+sampling: every run of length >= L contains a window of length
+s = L - q + 1 starting at a multiple of q = ceil(L/2), so comparing
+w[i:i+s] with w[i+p:i+p+s] at i = 0, q, 2q, ... finds every such run, and
+a hit is extended to its maximal ends with a local mismatch mask (XOR of
+the two shifted byte strings as big integers, zero bytes marking
+agreement).  That is about 2n/L probes per period and O(n log n) in all.
+Below a stride of ``_DENSE_STRIDE`` the probes cost more than one full
+mask of the period read with a regex, so short runs are found that way.
 """
 
 from __future__ import annotations
@@ -119,6 +125,47 @@ def _mismatch_mask(data: bytes, p: int) -> bytes:
     return (a ^ b).to_bytes(m, "big")
 
 
+# Below this stride the probes of _agreement_runs cost more than one full
+# mask of the period read with a regex.
+_DENSE_STRIDE = 32
+
+
+def _agreement_runs(data: bytes, p: int, min_len: int):
+    """Yield, left to right, the maximal runs [a, b) with b - a >= min_len
+    and data[i] == data[i+p] for every a <= i < b.
+
+    Probes a window of length s = min_len - q + 1 at multiples of the
+    stride q = ceil(min_len/2).  A hit is extended left by less than q
+    letters (the previous probe, or the mismatch ending the previous run,
+    lies within q of it) and right in doubling chunks.
+    """
+    m = len(data) - p
+    q = (min_len + 1) // 2
+    if q < _DENSE_STRIDE:
+        for hit in re.finditer(b"\x00{%d,}" % min_len, _mismatch_mask(data, p)):
+            yield hit.start(), hit.end()
+        return
+    s = min_len - q + 1
+    i = 0
+    while i + s <= m:
+        if data[i:i + s] != data[i + p:i + p + s]:
+            i += q
+            continue
+        lo = max(i - q, 0)
+        a = lo + len(_mismatch_mask(data[lo:i + p], p).rstrip(b"\x00"))
+        b, step = i + s, s
+        while b < m:
+            hi = min(b + step, m)
+            tail = _mismatch_mask(data[b:hi + p], p).lstrip(b"\x00")
+            b = hi - len(tail)
+            if tail:
+                break
+            step *= 2
+        if b - a >= min_len:
+            yield a, b
+        i = (b // q + 1) * q
+
+
 def _normalize_threshold(threshold) -> Fraction:
     if isinstance(threshold, tuple):
         threshold = Fraction(*threshold)
@@ -152,10 +199,9 @@ def is_power_free(w: Word, threshold, strict: bool) -> RepetitionWitness | None:
             lmin = -((-num * p) // den)      # least l with l/p >= t
         if lmin > n:
             return None
-        run = lmin - p
-        m = re.search(b"\x00{%d,}" % run, _mismatch_mask(data, p))
-        if m:
-            return RepetitionWitness(m.start(), lmin, p)
+        run = next(_agreement_runs(data, p, lmin - p), None)
+        if run is not None:
+            return RepetitionWitness(run[0], lmin, p)
         p += 1
 
 
@@ -199,10 +245,9 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, RepetitionWitness]:
         if n * best_den < best_num * p:
             break                            # even a full-length run cannot beat best
         need = (p * (best_num - best_den)) // best_den + 1
-        mask = _mismatch_mask(data, p)
-        if b"\x00" * need in mask:
-            longest = max(len(m.group())
-                          for m in re.finditer(b"\x00{%d,}" % need, mask))
+        longest = max((b - a for a, b in _agreement_runs(data, p, need)),
+                      default=0)
+        if longest:
             best_num, best_den = longest + p, p
     if best_num == best_den:
         return Exponent(1, 1), RepetitionWitness(0, 1, 1)
@@ -212,9 +257,9 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, RepetitionWitness]:
     m_ = 1
     while a * m_ <= n and b * m_ <= n - 1:
         length, p = a * m_, b * m_
-        hit = re.search(b"\x00{%d,}" % (length - p), _mismatch_mask(data, p))
-        if hit:
-            candidates.append((hit.start(), length, p))
+        hit = next(_agreement_runs(data, p, length - p), None)
+        if hit is not None:
+            candidates.append((hit[0], length, p))
         m_ += 1
     start, length, p = min(candidates, key=lambda c: (c[0], c[1]))
     return Exponent(length, p), RepetitionWitness(start, length, p)

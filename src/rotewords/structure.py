@@ -32,11 +32,12 @@ trustworthy evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .morphisms import named
-from .properness import Violation, is_antiproper, is_proper
+from .properness import (Violation, XyxyxOccurrence, is_antiproper,
+                         is_proper)
 from .words import AlphabetError, Word, complement, factors_of_length
 
 
@@ -330,7 +331,10 @@ def _report(level_word: Word, checker, trim_bound: int,
             return PropernessReport(len(level_word) - trim, trim, None)
         start = trim + v.position
         if start >= trim_bound:
-            shifted = Violation(v.kind, start, v.detail)
+            detail = v.detail
+            if isinstance(detail, XyxyxOccurrence):
+                detail = replace(detail, start=trim + detail.start)
+            shifted = Violation(v.kind, start, detail)
             return PropernessReport(len(level_word) - trim, trim, shifted)
         trim = start + 1
 
@@ -439,6 +443,8 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int) -> Word
     tag = CaseTag(case) if not isinstance(case, CaseTag) else case
     if depth < 0:
         raise ValueError("depth must be non-negative")
+    if min_length < 0:
+        raise ValueError("length must be non-negative")
     g = named("g")
     if tag in (CaseTag.F, CaseTag.FBAR):
         inner, seed = named("f"), 0

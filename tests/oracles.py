@@ -24,6 +24,22 @@ def brute_smallest_period(data: bytes) -> int:
     return n
 
 
+def brute_agreement_runs(data: bytes, p: int, min_len: int):
+    """Maximal runs [a, b) with data[i] == data[i+p] for a <= i < b and
+    b - a >= min_len, left to right."""
+    runs = []
+    start = None
+    for i in range(len(data) - p + 1):
+        agree = i < len(data) - p and data[i] == data[i + p]
+        if agree and start is None:
+            start = i
+        elif not agree and start is not None:
+            if i - start >= min_len:
+                runs.append((start, i))
+            start = None
+    return runs
+
+
 def brute_max_exponent(data: bytes):
     """(value, (start, length, period)) with the smallest-start,
     shortest-length tie-break; period is the factor's smallest period."""

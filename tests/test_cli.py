@@ -137,6 +137,14 @@ def test_generate_then_classify(tmp_path, capsys):
     assert out.strip() == "class: FbarRev"
 
 
+def test_generate_negative_length_is_usage_error(capsys):
+    code, out, err = run(capsys, "generate", "--case", "F", "--depth", "1",
+                         "--length", "-5")
+    assert code == 2
+    assert out == ""
+    assert "length" in err
+
+
 def test_complexity_expect_match(capsys):
     code, out, _ = run(capsys, "complexity", "--input",
                        "image:g:fixpoint:f:0:1100", "--max-n", "20",
@@ -168,6 +176,14 @@ def test_complexity_too_short(capsys):
     assert "too short" in err
 
 
+def test_complexity_negative_safety_is_usage_error(capsys):
+    code, out, err = run(capsys, "complexity", "--input", "literal:01",
+                         "--max-n", "50", "--safety", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--safety" in err
+
+
 def test_check_power_witness(capsys):
     code, out, _ = run(capsys, "check-power", "--input", "literal:000",
                        "--threshold", "5/2", "--strict")
@@ -188,6 +204,21 @@ def test_limit_guard_exit_code(capsys):
                        "--limit", "100")
     assert code == 3
     assert "exceeds" in err
+
+
+def test_image_reads_literal_over_morphism_source_alphabet(capsys):
+    # 0101 alone would be read as binary; under g it is a ternary word
+    code, out, _ = run(capsys, "classify", "--input", "image:g:literal:0101")
+    assert code == 0
+    assert out.startswith("class:")
+    code, out, _ = run(capsys, "decode", "--morphism", "g", "--input",
+                       "image:g:literal:0101")
+    assert code == 0
+    assert "preimage: 0101" in out
+    code, _, err = run(capsys, "decode", "--morphism", "g", "--input",
+                       "image:g:literal:0103")
+    assert code == 2
+    assert "error" in err
 
 
 def test_bad_word_source(capsys):

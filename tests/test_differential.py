@@ -1,0 +1,115 @@
+"""Differential tests: the sampled agreement-run scan and the whole-word
+checks built on it, against the brute-force oracles.
+
+The whole-word checks take the sampled path only once runs of 2 *
+_DENSE_STRIDE - 1 letters are asked for, which short words never reach, so
+those tests also run with the stride threshold lowered to 1, where every
+period is sampled.
+"""
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rotewords import (Word, find_dominated_xyxyx, is_power_free,
+                       max_factor_exponent)
+from rotewords import repetitions
+from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs
+
+from oracles import (brute_agreement_runs, brute_avoids,
+                     brute_dominated_xyxyx, brute_max_exponent,
+                     brute_smallest_period)
+
+CROSSOVER = 2 * _DENSE_STRIDE - 1      # least min_len that is sampled
+
+
+def letters(k: int, min_size: int = 0, max_size: int | None = None):
+    return st.binary(min_size=min_size, max_size=max_size).map(
+        lambda raw: bytes(b % k for b in raw))
+
+
+@st.composite
+def planted(draw):
+    """A word made of random filler and stretches of period up to 150,
+    with a period to scan at: the planted one or a multiple of it."""
+    k = draw(st.sampled_from([2, 3]))
+    period = draw(st.integers(1, 150))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        pieces.append(draw(letters(k, max_size=60)))
+        base = draw(letters(k, period, period))
+        length = draw(st.integers(period, 4 * period + 10))
+        pieces.append((base * (length // period + 1))[:length])
+    data = b"".join(pieces)
+    p = min(period * draw(st.sampled_from([1, 1, 2])), len(data) - 1)
+    return data, max(p, 1)
+
+
+@st.composite
+def random_word(draw):
+    data = draw(letters(draw(st.sampled_from([2, 3])), min_size=2,
+                        max_size=400))
+    return data, draw(st.integers(1, len(data) - 1))
+
+
+@st.composite
+def scan_case(draw):
+    data, p = draw(st.one_of(planted(), random_word()))
+    # planted runs are shorter than 3p + 10, so sampled lengths stop near
+    # there to leave something to find
+    min_len = draw(st.one_of(
+        st.integers(1, CROSSOVER - 1),
+        st.integers(CROSSOVER, max(CROSSOVER, 2 * p + 20))))
+    return data, p, min_len
+
+
+stride = st.sampled_from([1, _DENSE_STRIDE])
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_case(), stride)
+def test_agreement_runs_match_brute_force(case, dense):
+    data, p, min_len = case
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        runs = list(_agreement_runs(data, p, min_len))
+    assert runs == brute_agreement_runs(data, p, min_len)
+
+
+thresholds = st.builds(Fraction, st.integers(1, 13), st.integers(1, 4)).filter(
+    lambda t: t >= 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(letters(2, 1, 16), thresholds, st.booleans(), stride)
+def test_is_power_free_matches_brute_force(data, threshold, strict, dense):
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        witness = is_power_free(Word(data, 2), threshold, strict)
+    assert (witness is None) == brute_avoids(data, threshold, strict)
+    if witness is not None:
+        piece = data[witness.start:witness.start + witness.length]
+        assert len(piece) == witness.length
+        assert brute_smallest_period(piece) == witness.period
+        e = Fraction(witness.length, witness.period)
+        assert e > threshold if strict else e >= threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda k: letters(k, 1, 14)), stride)
+def test_max_factor_exponent_matches_brute_force(data, dense):
+    value, (start, length, period) = brute_max_exponent(data)
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        e, witness = max_factor_exponent(Word(data, 3))
+    assert e.value == value
+    assert (witness.start, witness.length, witness.period) \
+        == (start, length, period)
+
+
+@settings(max_examples=200, deadline=None)
+@given(letters(3, 0, 24), stride)
+def test_find_dominated_xyxyx_matches_brute_force(data, dense):
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        occ = find_dominated_xyxyx(Word(data, 3))
+    got = None if occ is None else (occ.start, occ.x_length, occ.y_length)
+    assert got == brute_dominated_xyxyx(data)

@@ -212,6 +212,20 @@ def test_decompose_decode_error_carries_partial():
     assert [lv.morphism for lv in partial.levels] == ["g", "f"]
 
 
+def test_forgiven_front_keeps_violation_detail_in_level_coordinates():
+    # 20 copies of 0121 hold dominated xyxyx occurrences at every start up
+    # to 64; those before the front-trim bound are forgiven, and the one
+    # reported must name the same start in its position and its detail
+    level = Word(bytes([0, 1, 2, 1]) * 20
+                 + named("f").iterate_prefix(0, 300).letters, 3)
+    cert = decompose(named("g").apply(level), 0)
+    report = cert.levels[0].proper.to_json()
+    assert report["trim"] == 64
+    assert report["violation"] == {
+        "kind": "xyxyx", "position": 64,
+        "detail": {"start": 64, "x_length": 3, "y_length": 1}}
+
+
 def test_certificate_json_shape():
     cert = decompose(generate_case_word("Frev", 1, 600), 1)
     payload = cert.to_json()
