@@ -18,9 +18,9 @@ s = L - q + 1 starting at a multiple of q = ceil(L/2), so comparing
 w[i:i+s] with w[i+p:i+p+s] at i = 0, q, 2q, ... finds every such run, and
 a hit is extended to its maximal ends with a local mismatch mask (XOR of
 the two shifted byte strings as big integers, zero bytes marking
-agreement).  That is about 2n/L probes per period and O(n log n) in all.
-Below a stride of ``_DENSE_STRIDE`` the probes cost more than one full
-mask of the period read with a regex, so short runs are found that way.
+agreement).  That is about 2n/L probes per period, O(n log n) in all.
+Short runs, below a stride of ``_DENSE_STRIDE``, are read off one full mask
+of the period with a regex instead.
 """
 
 from __future__ import annotations
