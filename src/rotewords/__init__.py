@@ -14,7 +14,8 @@ from .repetitions import (Exponent, RepetitionWitness, smallest_period,
 from .morphisms import (Morphism, NAMED_MORPHISMS, named, equal_on_letters,
                         parse_morphism)
 from .properness import (FORBIDDEN_FACTORS, Violation, XyxyxOccurrence,
-                         find_dominated_xyxyx, is_proper, is_antiproper)
+                         find_dominated_xyxyx, forgiving_scan, is_proper,
+                         is_antiproper)
 from .search import (REFERENCE_ROWS, SearchOutcome, TableRow,
                      longest_avoiding, run_reference_table)
 from .structure import (CaseTag, ClassificationError, DecodeError,

@@ -76,24 +76,39 @@ def _read_word_line(path: str) -> str:
 
 def _infer_word(text: str, alphabet_size: int | None) -> Word:
     if alphabet_size is None:
-        biggest = max((int(c) for c in text if c.isdigit()), default=0)
+        biggest = max((int(c) for c in set(text) if c.isdigit()), default=0)
         alphabet_size = max(2, biggest + 1)
     return parse_word(text, alphabet_size)
 
 
-def parse_source(spec: str, alphabet_size: int | None = None) -> Word:
+def _check_limit(kind: str, length: int, limit: int | None) -> None:
+    if limit is not None and length > limit:
+        raise LengthLimitError(
+            f"{kind} input of length {length} exceeds --limit {limit}")
+
+
+def parse_source(spec: str, alphabet_size: int | None = None,
+                 limit: int | None = None) -> Word:
     """Resolve a word source spec (see module docstring) into a Word.
 
     Digit strings (``literal:`` and files) are read over ``alphabet_size``
     letters when it is given, as it is inside ``image:`` where the
     morphism's source alphabet applies; otherwise over the smallest
     alphabet (at least 2) that holds their letters.
+
+    A source longer than ``limit`` letters raises LengthLimitError before
+    it is built: a fixed-point prefix on its length field, an image on the
+    length its inner word's letters map to, digit text on its length.
+    Inner sources of an image are held to the same limit, which is sound
+    because every registered morphism is non-erasing.
     """
     head, _, rest = spec.partition(":")
     if head == "fixpoint":
         try:
             name, seed, length = rest.split(":")
-            return named(name).iterate_prefix(int(seed), int(length))
+            m, seed, length = named(name), int(seed), int(length)
+            _check_limit(head, length, limit)
+            return m.iterate_prefix(seed, length)
         except (ValueError, KeyError) as exc:
             raise SourceError(f"bad fixpoint spec {spec!r}: {exc}") from exc
     if head == "image":
@@ -104,16 +119,20 @@ def parse_source(spec: str, alphabet_size: int | None = None) -> Word:
             m = named(name)
         except KeyError as exc:
             raise SourceError(str(exc)) from exc
-        return m.apply(parse_source(inner, m.source_alphabet))
+        w = parse_source(inner, m.source_alphabet, limit)
+        _check_limit(head, sum(w.letters.count(a) * len(img)
+                               for a, img in enumerate(m.images)), limit)
+        return m.apply(w)
     if head == "complement":
         if not rest:
             raise SourceError("complement spec needs an inner source")
-        return complement(parse_source(rest, alphabet_size))
+        return complement(parse_source(rest, alphabet_size, limit))
     if head == "literal":
+        _check_limit(head, len(rest), limit)
         return _infer_word(rest, alphabet_size)
-    if head == "file":
-        return _infer_word(_read_word_line(rest), alphabet_size)
-    return _infer_word(_read_word_line(spec), alphabet_size)
+    text = _read_word_line(rest if head == "file" else spec)
+    _check_limit("file", len(text), limit)
+    return _infer_word(text, alphabet_size)
 
 
 def _with_alphabet(w: Word, alphabet_size: int, what: str) -> Word:
@@ -124,12 +143,9 @@ def _with_alphabet(w: Word, alphabet_size: int, what: str) -> Word:
 
 
 def _load_input(args, alphabet_size: int | None, what: str) -> Word:
-    w = parse_source(args.input)
+    w = parse_source(args.input, limit=args.limit)
     if alphabet_size is not None:
         w = _with_alphabet(w, alphabet_size, what)
-    if args.limit is not None and len(w) > args.limit:
-        raise LengthLimitError(
-            f"input of length {len(w)} exceeds --limit {args.limit}")
     return w
 
 

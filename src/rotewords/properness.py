@@ -16,15 +16,23 @@ whose factors all have exponent at most 5/2 produce no candidates at all
 and are dismissed in this first phase.  Only the surviving stretches are
 enumerated, in tie-break order, with O(1) Parikh comparisons against
 prefix counts.
+
+``forgiving_scan`` is the one checker behind ``is_proper``,
+``is_antiproper`` and the decomposition reports.  It forgives the
+violations that start before a bound and reports the first one after it,
+walking the forbidden-factor occurrences lazily and running the xyxyx
+search once on what is left, instead of re-checking the remaining suffix
+after each forgiven violation.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .repetitions import _agreement_runs
-from .words import AlphabetError, LengthLimitError, Word, reverse
+from .words import AlphabetError, LengthLimitError, Word
 
 FORBIDDEN_FACTORS = (
     bytes([0, 0]),
@@ -81,19 +89,15 @@ def _guard(u: Word, max_length: int | None) -> None:
             f"input of length {len(u)} exceeds the {max_length}-letter guard")
 
 
-def find_dominated_xyxyx(u: Word, *,
-                         max_length: int | None = DEFAULT_LENGTH_GUARD
-                         ) -> XyxyxOccurrence | None:
-    """First xyxyx occurrence with Parikh-dominant x, or None.
+def _xyxyx_search(data: bytes, k: int):
+    """Phase 1 of the xyxyx search, and the means for phase 2.
 
-    "First" means smallest start, then smallest x length, then smallest
-    y length.  y may be empty; x may not.
+    Returns None when no agreement run in ``data`` can host an occurrence.
+    Otherwise returns an iterator over every candidate (s, x, y) - a factor
+    of shape xyxyx with x > y - in tie-break order, and a test of whether a
+    candidate's x-piece strictly Parikh-dominates its y-piece.
     """
-    _guard(u, max_length)
-    n = len(u)
-    data = u.letters
-    k = u.alphabet_size
-
+    n = len(data)
     # Phase 1: per period p, agreement runs of length >= p + x_min where
     # x_min = p//2 + 1 is the least x with x > y.
     stretches = []
@@ -106,17 +110,6 @@ def find_dominated_xyxyx(u: Word, *,
     if not stretches:
         return None
 
-    # Phase 2: enumerate candidates in (start, x, y) order, checking
-    # dominance against prefix letter counts.
-    prefix = [[0] * (n + 1) for _ in range(k)]
-    for i, b in enumerate(data):
-        for c in range(k):
-            prefix[c][i + 1] = prefix[c][i]
-        prefix[b][i + 1] += 1
-
-    def piece_counts(lo: int, hi: int) -> list[int]:
-        return [prefix[c][hi] - prefix[c][lo] for c in range(k)]
-
     def candidates(p: int, a: int, b: int):
         x_min = p // 2 + 1
         need = p + x_min
@@ -125,24 +118,97 @@ def find_dominated_xyxyx(u: Word, *,
             for x in range(x_min, x_max + 1):
                 yield (s, x, p - x)
 
-    for s, x, y in heapq.merge(*(candidates(*st) for st in stretches)):
-        cx = piece_counts(s, s + x)
-        cy = piece_counts(s + x, s + x + y)
-        if all(a >= b for a, b in zip(cx, cy)) and cx != cy:
-            return XyxyxOccurrence(s, x, y)
+    # Phase 2: dominance tests against prefix letter counts.
+    prefix = []
+    for c in range(k):
+        marks = data.translate(bytes(c) + b"\1" + bytes(255 - c))  # 1 at c
+        prefix.append(list(accumulate(marks, initial=0)))
+
+    def dominated(s: int, x: int, y: int) -> bool:
+        cx = [row[s + x] - row[s] for row in prefix]
+        cy = [row[s + x + y] - row[s + x] for row in prefix]
+        return all(a >= b for a, b in zip(cx, cy)) and cx != cy
+
+    return heapq.merge(*(candidates(*st) for st in stretches)), dominated
+
+
+def find_dominated_xyxyx(u: Word, *,
+                         max_length: int | None = DEFAULT_LENGTH_GUARD
+                         ) -> XyxyxOccurrence | None:
+    """First xyxyx occurrence with Parikh-dominant x, or None.
+
+    "First" means smallest start, then smallest x length, then smallest
+    y length.  y may be empty; x may not.
+    """
+    _guard(u, max_length)
+    search = _xyxyx_search(u.letters, u.alphabet_size)
+    if search is not None:
+        candidates, dominated = search
+        for s, x, y in candidates:
+            if dominated(s, x, y):
+                return XyxyxOccurrence(s, x, y)
     return None
 
 
-def _forbidden_violation(data: bytes) -> Violation | None:
-    best = None
-    for pat in FORBIDDEN_FACTORS:
-        pos = data.find(pat)
-        if pos != -1 and (best is None or (pos, len(pat)) < best[:2]):
-            best = (pos, len(pat), pat)
-    if best is None:
-        return None
-    pos, _, pat = best
-    return Violation("forbidden_factor", pos, "".join(str(b) for b in pat))
+def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
+                   max_length: int | None = DEFAULT_LENGTH_GUARD
+                   ) -> tuple[int, Violation | None]:
+    """Check a final segment of u, forgiving violations near the front.
+
+    Returns ``(trim, violation)``.  ``violation`` is the first violation
+    of u[trim:] - of its properness, or with ``mirrored`` of its
+    antiproperness - which starts at or after ``trim_bound``, or None.
+    ``trim`` is one past the start of the last violation forgiven for
+    starting before the bound, or 0.  Positions are u's own.  The result
+    is what re-running is_proper (is_antiproper) on u[trim:] after each
+    forgiven violation gives, precedence and tie-breaks included, because
+    the violations of u[trim:] are exactly those of u that start at or
+    after trim.
+
+    Forbidden-factor occurrences are taken lazily in checker order
+    (position, then length, on u or on its reverse), each pattern's next
+    one from a heap: one starting before the current trim is skipped, one
+    starting before the bound is forgiven.  The xyxyx search then runs
+    once, on what is left of u, and screens each candidate against the
+    current trim before its Parikh test.
+    """
+    if u.alphabet_size != 3:
+        raise AlphabetError("properness is defined for ternary words")
+    _guard(u, max_length)
+    n = len(u)
+    data = u.letters[::-1] if mirrored else u.letters
+    trim = 0
+
+    heap = [(pos, len(pat), pat) for pat in FORBIDDEN_FACTORS
+            if (pos := data.find(pat)) != -1]
+    heapq.heapify(heap)
+    while heap:
+        pos, length, pat = heap[0]
+        start = n - pos - length if mirrored else pos
+        if start >= trim:
+            if start >= trim_bound:
+                text = "".join(map(str, pat[::-1] if mirrored else pat))
+                return trim, Violation("forbidden_factor", start, text)
+            trim = start + 1
+        pos = data.find(pat, pos + 1)
+        if pos == -1:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (pos, length, pat))
+
+    offset = trim
+    search = _xyxyx_search(data[:n - trim] if mirrored else data[trim:], 3)
+    if search is not None:
+        candidates, dominated = search
+        for s, x, y in candidates:
+            start = n - s - 3 * x - 2 * y if mirrored else offset + s
+            if start < trim or not dominated(s, x, y):
+                continue
+            if start >= trim_bound:
+                return trim, Violation("xyxyx", start,
+                                       XyxyxOccurrence(start, x, y))
+            trim = start + 1
+    return trim, None
 
 
 def is_proper(u: Word, *,
@@ -153,16 +219,7 @@ def is_proper(u: Word, *,
     among forbidden hits the earliest position wins, ties going to the
     shorter factor.
     """
-    if u.alphabet_size != 3:
-        raise AlphabetError("properness is defined for ternary words")
-    _guard(u, max_length)
-    hit = _forbidden_violation(u.letters)
-    if hit is not None:
-        return hit
-    occ = find_dominated_xyxyx(u, max_length=max_length)
-    if occ is not None:
-        return Violation("xyxyx", occ.start, occ)
-    return None
+    return forgiving_scan(u, max_length=max_length)[1]
 
 
 def is_antiproper(u: Word, *,
@@ -175,14 +232,4 @@ def is_antiproper(u: Word, *,
     to another xyxyx occurrence with the same piece lengths, so the mapped
     report is directly meaningful in u's coordinates.
     """
-    v = is_proper(reverse(u), max_length=max_length)
-    if v is None:
-        return None
-    n = len(u)
-    if v.kind == "forbidden_factor":
-        length = len(v.detail)
-        return Violation(v.kind, n - v.position - length, v.detail[::-1])
-    occ: XyxyxOccurrence = v.detail
-    start = n - v.position - occ.total_length
-    mirrored = XyxyxOccurrence(start, occ.x_length, occ.y_length)
-    return Violation("xyxyx", start, mirrored)
+    return forgiving_scan(u, mirrored=True, max_length=max_length)[1]

@@ -98,17 +98,23 @@ class RepetitionWitness:
 def smallest_period(w: Word) -> int:
     """Least p >= 1 with w[i] == w[i+p] for all valid i.
 
-    Direct check over candidate periods; quadratic in the worst case but
-    each candidate is a single C-level bytes comparison.
+    That is n minus the longest proper border of w, read off the KMP
+    failure function in one O(n) pass.
     """
     n = len(w)
     if n == 0:
         raise ValueError("the empty word has no period")
     data = w.letters
-    for p in range(1, n):
-        if data[p:] == data[:-p]:
-            return p
-    return n
+    fail = [0] * n          # fail[i]: longest proper border of data[:i+1]
+    k = 0
+    for i in range(1, n):
+        c = data[i]
+        while k and data[k] != c:
+            k = fail[k - 1]
+        if data[k] == c:
+            k += 1
+        fail[i] = k
+    return n - k
 
 
 def exponent(w: Word) -> Exponent:

@@ -24,20 +24,24 @@ left-to-right parse unambiguous):
 ``decompose`` chains the decoders to the requested depth and attaches a
 properness report to every ternary level.  Structure on a finite prefix
 is only evidence about a final segment of the underlying infinite word,
-so reports tolerate violations near the front (a bounded, recorded trim)
-and each level drops its last decoded letter when the final block could
-be the cut-off start of a longer image - such a letter is not
-trustworthy evidence.
+so reports tolerate violations near the front and each level drops its
+last decoded letter when the final block could be the cut-off start of a
+longer image - such a letter is not trustworthy evidence.  A report is
+one forgiving scan of the level word (``properness.forgiving_scan``):
+violations that start before the front-trim bound are forgiven, the
+recorded trim is one past the start of the last of them, and the first
+violation at or after the bound is reported.  The scan walks the
+forbidden-factor occurrences once and runs the xyxyx search once, however
+many violations it forgives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .morphisms import named
-from .properness import (Violation, XyxyxOccurrence, is_antiproper,
-                         is_proper)
+from .properness import Violation, forgiving_scan
 from .words import AlphabetError, Word, complement, factors_of_length
 
 
@@ -300,12 +304,15 @@ def _tail_trim(morphism_name: str, result: DecodeResult) -> int:
 class PropernessReport:
     """One-sided properness evidence on a finite level word.
 
-    ``trim`` leading letters were skipped before the surviving check
-    (structure is only promised for a final segment, so violations that
-    start inside the front-trim window are forgiven and recorded here);
-    ``checked_length`` letters were actually examined.  ``violation`` is
-    None when the checked segment is clean, with positions given in the
-    level word's own coordinates.
+    Structure is only promised for a final segment, so violations that
+    start before the front-trim bound are forgiven.  ``trim`` is one past
+    the start of the last one forgiven (0 when none was), and the level
+    word from there on, ``checked_length`` letters, is what the report
+    covers.  ``violation`` is the first violation of that segment, which
+    starts at or after the bound, or None when the segment is clean;
+    positions are in the level word's own coordinates.  The result equals
+    re-running the checker on the segment after each forgiveness, but
+    comes from one scan.
     """
 
     checked_length: int
@@ -322,21 +329,17 @@ class PropernessReport:
                 else self.violation.to_json()}
 
 
-def _report(level_word: Word, checker, trim_bound: int,
+def _report(level_word: Word, mirrored: bool, trim_bound: int,
             guard: int | None) -> PropernessReport:
-    trim = 0
-    while True:
-        v = checker(level_word[trim:], max_length=guard)
-        if v is None:
-            return PropernessReport(len(level_word) - trim, trim, None)
-        start = trim + v.position
-        if start >= trim_bound:
-            detail = v.detail
-            if isinstance(detail, XyxyxOccurrence):
-                detail = replace(detail, start=trim + detail.start)
-            shifted = Violation(v.kind, start, detail)
-            return PropernessReport(len(level_word) - trim, trim, shifted)
-        trim = start + 1
+    """Properness (antiproperness when ``mirrored``) report of a level word.
+
+    One forgiving scan: violations that start before ``trim_bound`` are
+    forgiven and set ``trim`` to one past their start, and the first one
+    at or after the bound is reported (see properness.forgiving_scan).
+    """
+    trim, violation = forgiving_scan(level_word, trim_bound,
+                                     mirrored=mirrored, max_length=guard)
+    return PropernessReport(len(level_word) - trim, trim, violation)
 
 
 @dataclass(frozen=True)
@@ -417,8 +420,8 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
         trim = _tail_trim(name, result)
         trimmed = (result.preimage[:len(result.preimage) - trim]
                    if trim else result.preimage)
-        proper = _report(trimmed, is_proper, front_trim_bound, length_guard)
-        anti = (_report(trimmed, is_antiproper, front_trim_bound, length_guard)
+        proper = _report(trimmed, False, front_trim_bound, length_guard)
+        anti = (_report(trimmed, True, front_trim_bound, length_guard)
                 if chain == "h" else None)
         levels.append(LevelRecord(name, result, trim, proper, anti))
         return trimmed

@@ -6,7 +6,7 @@ equality, substring search and window hashing all run at C speed; every
 function in this module is pure and safe to call concurrently.
 
 Text I/O renders letters as ASCII digits with no separators ("0121"),
-one word per line.
+one word per line, so an alphabet has at most 10 letters.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ class LengthLimitError(RuntimeError):
     """An input word exceeded a configured length guard."""
 
 
+MAX_ALPHABET = 10        # one ASCII digit per letter
+_TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 @dataclass(frozen=True)
 class Word:
     """A finite word; ``letters[i]`` is the integer letter at position i."""
@@ -41,9 +46,9 @@ class Word:
     def __post_init__(self):
         if not isinstance(self.letters, bytes):
             object.__setattr__(self, "letters", bytes(self.letters))
-        if not 1 <= self.alphabet_size <= 255:
-            raise AlphabetError(
-                f"alphabet size must be in 1..255, got {self.alphabet_size}")
+        if not 1 <= self.alphabet_size <= MAX_ALPHABET:
+            raise AlphabetError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
+                                f"got {self.alphabet_size}")
         if self.letters and max(self.letters) >= self.alphabet_size:
             bad = next(i for i, b in enumerate(self.letters)
                        if b >= self.alphabet_size)
@@ -68,7 +73,7 @@ class Word:
         return Word(self.letters + other.letters, self.alphabet_size)
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.letters)
+        return self.letters.translate(_TO_DIGITS).decode("ascii")
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, k={self.alphabet_size})"
@@ -83,6 +88,11 @@ def word(letters: Iterable[int] | str, alphabet_size: int) -> Word:
 
 def parse_word(text: str, alphabet_size: int) -> Word:
     """Parse a digit string into a Word over the given alphabet."""
+    if text.isascii() and text.isdigit():
+        data = text.encode("ascii").translate(_FROM_DIGITS)
+        if max(data) < alphabet_size:
+            return Word(data, alphabet_size)
+    # Slow path: find the first bad character for the error message.
     out = bytearray()
     for i, ch in enumerate(text):
         if not "0" <= ch <= "9":

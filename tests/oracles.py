@@ -119,3 +119,35 @@ def brute_proper(data: bytes):
 
 def brute_factor_count(data: bytes, n: int) -> int:
     return len({tuple(data[i:i + n]) for i in range(len(data) - n + 1)})
+
+
+def brute_report(data: bytes, trim_bound: int, mirrored: bool):
+    """(trim, violation) of a properness report on a level word, by the
+    re-run loop: check the suffix data[trim:] with brute_proper (on its
+    reverse when ``mirrored``), and while the violation found starts before
+    ``trim_bound``, forgive it by setting trim to one past its start.
+
+    The violation is (kind, position, detail) in data's coordinates: a
+    forbidden factor's text as it reads in data, or an xyxyx occurrence's
+    (start, x_len, y_len)."""
+    trim = 0
+    while True:
+        suffix = data[trim:]
+        v = brute_proper(suffix[::-1] if mirrored else suffix)
+        if v is None:
+            return trim, None
+        kind, pos, detail = v
+        if kind == "forbidden_factor":
+            length = len(detail)
+            if mirrored:
+                detail = detail[::-1]
+        else:
+            length = 3 * detail[1] + 2 * detail[2]
+        if mirrored:
+            pos = len(suffix) - pos - length
+        start = trim + pos
+        if start >= trim_bound:
+            if kind == "xyxyx":
+                detail = (start, detail[1], detail[2])
+            return trim, (kind, start, detail)
+        trim = start + 1

@@ -1,7 +1,11 @@
+import hashlib
 import json
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from rotewords import NAMED_MORPHISMS, Morphism, Word, named
 from rotewords.cli import main
 
 
@@ -243,3 +247,94 @@ def test_stdout_is_deterministic(capsys):
         payload.pop("elapsed_ms")
         outputs.append(json.dumps(payload))
     assert outputs[0] == outputs[1]
+
+
+# ------------------------------------------------- budgets before building
+
+# (spec, whether an inner fixed point fits the limit and is built)
+REFUSED_SPECS = [
+    ("fixpoint:f:0:3000000", False),
+    ("image:g:fixpoint:f:0:3000000", False),
+    ("image:g:fixpoint:f:0:60", True),        # 60 letters map to 113
+    ("complement:fixpoint:mu:0:500", False),
+    ("literal:" + "01" * 60, False),
+    ("image:mu:literal:" + "01" * 30, False),  # 60 letters map to 120
+]
+
+
+def test_registered_morphisms_are_non_erasing():
+    # holding an image's inner source to the limit relies on this
+    assert all(named(name).non_erasing for name in NAMED_MORPHISMS)
+
+
+@pytest.mark.parametrize("spec, inner_built", REFUSED_SPECS)
+def test_limit_refuses_before_building(capsys, spec, inner_built):
+    with mock.patch.object(Morphism, "iterate_prefix", autospec=True,
+                           side_effect=Morphism.iterate_prefix) as prefix, \
+            mock.patch.object(Morphism, "apply", autospec=True) as apply:
+        code, out, err = run(capsys, "check-power", "--input", spec,
+                             "--threshold", "2", "--limit", "100")
+    assert code == 3
+    assert out == ""
+    assert "exceeds --limit 100" in err
+    apply.assert_not_called()
+    assert prefix.called == inner_built
+    assert all(call.args[2] <= 100 for call in prefix.call_args_list)
+
+
+def test_limit_admits_a_source_of_exactly_the_limit(capsys):
+    spec = "image:g:fixpoint:f:0:40"                   # 76 letters
+    code, out, _ = run(capsys, "check-power", "--input", spec,
+                       "--threshold", "5/2", "--strict", "--limit", "76")
+    assert code == 0
+    assert out.startswith("ok")
+    code, _, err = run(capsys, "check-power", "--input", spec,
+                       "--threshold", "5/2", "--strict", "--limit", "75")
+    assert code == 3
+    assert "image input of length 76 exceeds --limit 75" in err
+
+
+# ----------------------------------------------- pinned decompose output
+
+def front_defect(chain, seed, prefix):
+    """g(m^4(prefix . m^w)) cut to 1200 letters, for m = f or h: a class word
+    whose level words are clean only after a defective front."""
+    m = named(chain)
+    u = Word(prefix + m.iterate_prefix(seed, 40).letters, 3)
+    for _ in range(4):
+        u = m.apply(u)
+    return "literal:" + str(named("g").apply(u)[:1200])
+
+
+PINNED_DECOMPOSE = {
+    "F": "image:g:fixpoint:f:0:600",
+    "Fbar": "complement:image:g:fixpoint:f:0:600",
+    "Frev": "image:g:fixpoint:h:1:600",
+    "FbarRev": "complement:image:g:fixpoint:h:1:600",
+    "F front 000": front_defect("f", 0, b"\0\0\0"),
+    "F front 121212": front_defect("f", 0, b"\1\2\1\2\1\2"),
+    "Frev front 222": front_defect("h", 1, b"\2\2\2"),
+    "Frev front 101010": front_defect("h", 1, b"\1\0\1\0\1\0"),
+}
+
+# Results of ``decompose --depth 4 --json`` on the inputs above, captured
+# from the implementation that re-ran the checker on the remaining suffix
+# after each forgiven violation.  Preimages are kept as length and digest.
+PINNED_RESULTS = Path(__file__).parent / "data" / "decompose_depth4.json"
+
+
+def digest_preimages(results):
+    for level in results["levels"]:
+        pre = level["decode"]["preimage"]
+        digest = hashlib.sha256(pre.encode("ascii")).hexdigest()[:16]
+        level["decode"]["preimage"] = f"{len(pre)}:{digest}"
+    return results
+
+
+@pytest.mark.parametrize("name", PINNED_DECOMPOSE)
+def test_decompose_output_is_pinned(capsys, name):
+    code, out, _ = run(capsys, "decompose", "--depth", "4", "--input",
+                       PINNED_DECOMPOSE[name], "--json")
+    assert code == 0
+    results = digest_preimages(json.loads(out)["results"])
+    assert results == json.loads(PINNED_RESULTS.read_text())[name]

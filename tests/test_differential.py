@@ -1,5 +1,6 @@
-"""Differential tests: the sampled agreement-run scan and the whole-word
-checks built on it, against the brute-force oracles.
+"""Differential tests: the sampled agreement-run scan, the whole-word
+checks built on it and the properness reports, against the brute-force
+oracles.
 
 The whole-word checks take the sampled path only once runs of 2 *
 _DENSE_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -10,17 +11,18 @@ period is sampled.
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotewords import (Word, find_dominated_xyxyx, is_power_free,
-                       max_factor_exponent)
-from rotewords import repetitions
+from rotewords import (FORBIDDEN_FACTORS, Word, find_dominated_xyxyx,
+                       is_power_free, max_factor_exponent, named,
+                       smallest_period)
+from rotewords import repetitions, structure
 from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs
 
 from oracles import (brute_agreement_runs, brute_avoids,
                      brute_dominated_xyxyx, brute_max_exponent,
-                     brute_smallest_period)
+                     brute_report, brute_smallest_period)
 
 CROSSOVER = 2 * _DENSE_STRIDE - 1      # least min_len that is sampled
 
@@ -113,3 +115,59 @@ def test_find_dominated_xyxyx_matches_brute_force(data, dense):
         occ = find_dominated_xyxyx(Word(data, 3))
     got = None if occ is None else (occ.start, occ.x_length, occ.y_length)
     assert got == brute_dominated_xyxyx(data)
+
+
+# a periodic stretch, then a few letters that may break the period
+periodic = st.builds(lambda base, n, tail: (base * n)[:n] + tail,
+                     st.sampled_from([b"\0\1", b"\0\1\0", b"\0\1\2\1"]),
+                     st.integers(1, 120), letters(3, 0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(letters(2, 1, 300), letters(3, 1, 300), periodic))
+def test_smallest_period_matches_brute_force(data):
+    assert smallest_period(Word(data, 3)) == brute_smallest_period(data)
+
+
+F_POINT = named("f").iterate_prefix(0, 400).letters
+H_POINT = named("h").iterate_prefix(1, 400).letters
+
+
+@st.composite
+def level_word(draw):
+    """A random ternary word, or a stretch of f's or h's fixed point behind
+    a planted front of (0121)^k, (01)^k, (10)^k and forbidden factors."""
+    if draw(st.booleans()):
+        return draw(letters(3, 0, 40))
+    front = b""
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.sampled_from([b"\0\1\2\1", b"\0\1", b"\1\0",
+                                     *FORBIDDEN_FACTORS]))
+        front += base * draw(st.integers(1, 8 if len(base) < 5 else 2))
+    point = draw(st.sampled_from([F_POINT, H_POINT]))
+    start = draw(st.integers(0, 300))
+    return front + point[start:start + draw(st.integers(0, 40))]
+
+
+def report_tuple(report):
+    v = report.violation
+    if v is None:
+        return report.trim, None
+    detail = v.detail
+    if v.kind == "xyxyx":
+        detail = (detail.start, detail.x_length, detail.y_length)
+    return report.trim, (v.kind, v.position, detail)
+
+
+# On the antiproper side a later candidate can start before an earlier
+# forgiven one; it must be passed over, not forgiven again.
+@example(bytes([0, 1, 2, 1]) * 3 + bytes([0]), None, True, _DENSE_STRIDE)
+@settings(max_examples=400, deadline=None)
+@given(level_word(), st.sampled_from([0, 1, 5, 64, None]), st.booleans(),
+       stride)
+def test_report_matches_rerun_loop(data, bound, mirrored, dense):
+    bound = len(data) if bound is None else bound
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        report = structure._report(Word(data, 3), mirrored, bound, None)
+    assert report_tuple(report) == brute_report(data, bound, mirrored)
+    assert report.checked_length == len(data) - report.trim

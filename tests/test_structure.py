@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -8,6 +10,9 @@ from rotewords import (CaseTag, ClassificationError, DecodeError,
                        classify_by_length4, complement, decompose, f_decode,
                        factor_complexity, g_decode, generate_case_word,
                        h_decode, is_power_free, named, parse_word, reverse)
+
+from rotewords import properness, structure
+from rotewords.repetitions import _agreement_runs
 
 from oracles import all_words
 
@@ -224,6 +229,29 @@ def test_forgiven_front_keeps_violation_detail_in_level_coordinates():
     assert report["violation"] == {
         "kind": "xyxyx", "position": 64,
         "detail": {"start": 64, "x_length": 3, "y_length": 1}}
+
+
+@pytest.mark.parametrize("front, chain, seed, mirrored, trim", [
+    (bytes([0, 1, 2, 1]) * 20, "f", 0, False, 64),
+    (bytes([1, 2, 1, 0]) * 15, "h", 1, True, 52),
+], ids=["proper", "antiproper"])
+def test_report_builds_phase_one_once(front, chain, seed, mirrored, trim):
+    # the periodic front holds forgiven xyxyx occurrences at nearly every
+    # start (65 checker runs on the proper side when each forgiveness
+    # re-ran the checker); one report still asks for the agreement runs
+    # of each period once
+    level = Word(front + named(chain).iterate_prefix(seed, 5000).letters, 3)
+    periods = Counter()
+
+    def counting(data, p, min_len):
+        periods[p] += 1
+        return _agreement_runs(data, p, min_len)
+
+    with mock.patch.object(properness, "_agreement_runs", counting):
+        report = structure._report(level, mirrored, 64, None)
+    assert report.trim == trim
+    assert len(periods) > 1000
+    assert set(periods.values()) == {1}
 
 
 def test_certificate_json_shape():

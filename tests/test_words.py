@@ -41,6 +41,31 @@ def test_word_validates_letters():
         Word(b"\x00", 0)
 
 
+def test_alphabet_is_capped_at_ten_letters():
+    # the text format has one digit per letter
+    with pytest.raises(AlphabetError):
+        Word(b"", 11)
+    with pytest.raises(AlphabetError):
+        parse_word("0123", 11)
+    assert str(Word(bytes(range(10)), 10)) == "0123456789"
+
+
+@pytest.mark.parametrize("text, k, position, message", [
+    ("012", 2, 2, "letter 2 at position 2 is outside the 2-letter alphabet"),
+    ("01x1", 2, 2, "non-digit character 'x' at position 2"),
+    ("0 1", 2, 1, "non-digit character ' ' at position 1"),
+    ("01\u0662", 3, 2, "non-digit character '\u0662' at position 2"),
+    ("0\u00b9", 3, 1, "non-digit character '\u00b9' at position 1"),
+    ("9x", 3, 0, "letter 9 at position 0 is outside the 3-letter alphabet"),
+    ("0120x", 3, 4, "non-digit character 'x' at position 4"),
+])
+def test_parse_error_positions_and_messages(text, k, position, message):
+    with pytest.raises(ParseError) as err:
+        parse_word(text, k)
+    assert err.value.position == position
+    assert str(err.value) == message
+
+
 def test_word_conveniences():
     u = w3("0121")
     assert u[1] == 1
