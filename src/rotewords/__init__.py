@@ -22,7 +22,7 @@ from .structure import (CaseTag, ClassificationError, DecodeError,
                         DecodeResult, DecompositionCertificate,
                         DecompositionError, FactorClass, FACTOR_SETS,
                         LevelRecord, PropernessReport, classify_by_length4,
-                        decompose, f_decode, g_decode, generate_case_word,
-                        h_decode)
+                        decode, decompose, f_decode, g_decode,
+                        generate_case_word, h_decode)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

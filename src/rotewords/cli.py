@@ -26,16 +26,17 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple, Sequence
 
-from .morphisms import equal_on_letters, named
+from .morphisms import NAMED_MORPHISMS, equal_on_letters, named
 from .properness import DEFAULT_LENGTH_GUARD
 from .repetitions import exponent, is_power_free
 from .search import longest_avoiding, run_reference_table
-from .structure import (CaseTag, ClassificationError, DecompositionError,
-                        classify_by_length4, decompose, f_decode, g_decode,
-                        generate_case_word, h_decode)
-from .words import (AlphabetError, LengthLimitError, ParseError, Word,
-                    complement, factor_complexity, parse_word)
+from .structure import (CaseTag, classify_by_length4, decode, decompose,
+                        generate_case_word)
+from .words import (LengthLimitError, Word, complement, factor_complexity,
+                    parse_word)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -135,42 +136,43 @@ def parse_source(spec: str, alphabet_size: int | None = None,
     return _infer_word(text, alphabet_size)
 
 
-def _with_alphabet(w: Word, alphabet_size: int, what: str) -> Word:
-    if w.letters and max(w.letters) >= alphabet_size:
-        raise SourceError(
-            f"{what} needs a word over a {alphabet_size}-letter alphabet")
-    return Word(w.letters, alphabet_size)
-
-
-def _load_input(args, alphabet_size: int | None, what: str) -> Word:
+def _load_input(args, alphabet_size: int | None = None) -> Word:
+    """The --input word, read over ``alphabet_size`` letters when given."""
     w = parse_source(args.input, limit=args.limit)
-    if alphabet_size is not None:
-        w = _with_alphabet(w, alphabet_size, what)
-    return w
+    return w if alphabet_size is None else Word(w.letters, alphabet_size)
 
 
-def _emit(args, report: RunReport, plain_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report.to_json()))
-    else:
-        for line in plain_lines:
-            print(line)
-        print(f"elapsed: {report.elapsed_ms:.1f} ms", file=sys.stderr)
+class Outcome(NamedTuple):
+    """What a command returns: its report fields and its plain output.
+
+    ``records`` are JSON objects printed one per line before the report
+    in --json mode (verify-paper's individual checks).
+    """
+
+    parameters: dict
+    results: object
+    lines: list[str]
+    status: str = "ok"
+    records: Sequence[dict] = ()
 
 
 # ---------------------------------------------------------------- commands
 
-def _cmd_verify_paper(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify_paper(args) -> Outcome:
     rows = None
     if args.expected_table:
         with open(args.expected_table, "r", encoding="ascii") as fh:
             rows = [(tuple(fb), int(expected)) for fb, expected in json.load(fh)]
-    checks = []
-    for row in run_reference_table(rows, target=args.target):
-        payload = row.to_json()
-        payload["kind"] = "search"
+    checks, lines = [], []
+
+    def check(payload: dict, line: str) -> None:
         checks.append(payload)
+        lines.append(f"{line} {'ok' if payload['match'] else 'MISMATCH'}")
+
+    for row in run_reference_table(rows, target=args.target):
+        check({**row.to_json(), "kind": "search"},
+              f"search {{{','.join(row.forbidden)}}}: expected "
+              f"{row.expected} computed {row.computed}")
 
     g, h, tau, theta = named("g"), named("h"), named("tau"), named("theta")
     sigma, sigma_inv = named("sigma"), named("sigma_inv")
@@ -181,14 +183,11 @@ def _cmd_verify_paper(args) -> int:
                           sigma_inv.compose(h.compose(sigma)))),
     ]
     for name, ok in identities:
-        checks.append({"kind": "identity", "name": name, "match": ok})
+        check({"kind": "identity", "name": name, "match": ok},
+              f"identity {name}:")
 
-    def word2(text: str) -> Word:
-        return parse_word(text, 2)
-
-    def word3(text: str) -> Word:
-        return parse_word(text, 3)
-
+    word2 = partial(parse_word, alphabet_size=2)
+    word3 = partial(parse_word, alphabet_size=3)
     threshold = Fraction(5, 2)
     power_checks = [
         ("000 is a 5/2+ power", word2("000"), None),
@@ -202,197 +201,132 @@ def _cmd_verify_paper(args) -> int:
     for name, expected_word, construction in power_checks:
         built_ok = construction is None or construction == expected_word
         e = exponent(expected_word)
-        checks.append({"kind": "power", "name": name,
-                       "word": str(expected_word),
-                       "exponent": f"{e.length}/{e.period}",
-                       "match": built_ok and e > threshold})
+        check({"kind": "power", "name": name, "word": str(expected_word),
+               "exponent": f"{e.length}/{e.period}",
+               "match": built_ok and e > threshold},
+              f"power {name}: exponent {e.length}/{e.period}")
 
     all_ok = all(c["match"] for c in checks)
-    elapsed = (time.perf_counter() - t0) * 1000
-    if args.json:
-        for c in checks:
-            print(json.dumps(c))
-        summary = RunReport("verify-paper", {"target": args.target},
-                            {"checks": len(checks)}, elapsed,
-                            "ok" if all_ok else "mismatch")
-        print(json.dumps(summary.to_json()))
-    else:
-        for c in checks:
-            if c["kind"] == "search":
-                label = ",".join(c["forbidden"])
-                print(f"search {{{label}}}: expected {c['expected']} "
-                      f"computed {c['computed']} "
-                      f"{'ok' if c['match'] else 'MISMATCH'}")
-            elif c["kind"] == "identity":
-                print(f"identity {c['name']}: "
-                      f"{'ok' if c['match'] else 'MISMATCH'}")
-            else:
-                print(f"power {c['name']}: exponent {c['exponent']} "
-                      f"{'ok' if c['match'] else 'MISMATCH'}")
-        print(f"{len(checks)} checks, "
-              f"{'all ok' if all_ok else 'MISMATCHES PRESENT'}")
-        print(f"elapsed: {elapsed:.1f} ms", file=sys.stderr)
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    lines.append(f"{len(checks)} checks, "
+                 f"{'all ok' if all_ok else 'MISMATCHES PRESENT'}")
+    return Outcome({"target": args.target}, {"checks": len(checks)}, lines,
+                   "ok" if all_ok else "mismatch", checks)
 
 
-def _cmd_search(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_search(args) -> Outcome:
     forbidden = [s for s in args.forbidden.split(",") if s]
     outcome = longest_avoiding(forbidden, args.target)
-    elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport("search",
-                       {"forbidden": forbidden, "target": args.target},
-                       outcome.to_json(), elapsed)
-    _emit(args, report, [
-        f"max_length: {outcome.max_length}",
-        f"reached_target: {outcome.reached_target}",
-        f"witness: {outcome.witness}",
-        f"nodes: {outcome.nodes_explored}",
-    ])
-    return EXIT_OK
+    return Outcome({"forbidden": forbidden, "target": args.target},
+                   outcome.to_json(), [
+                       f"max_length: {outcome.max_length}",
+                       f"reached_target: {outcome.reached_target}",
+                       f"witness: {outcome.witness}",
+                       f"nodes: {outcome.nodes_explored}"])
 
 
-def _cmd_classify(args) -> int:
-    t0 = time.perf_counter()
-    w = _load_input(args, 2, "classify")
+def _cmd_classify(args) -> Outcome:
+    w = _load_input(args, 2)
     cls = classify_by_length4(w)
-    elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport("classify", {"length": len(w)},
-                       {"class": cls.to_json()}, elapsed)
     if cls.is_definite:
-        lines = [f"class: {cls.tag.value}"]
+        line = f"class: {cls.tag.value}"
     elif cls.is_ambiguous:
-        lines = ["class: ambiguous ("
-                 + ", ".join(t.value for t in cls.compatible) + ")"]
+        line = ("class: ambiguous ("
+                + ", ".join(t.value for t in cls.compatible) + ")")
     else:
-        lines = ["class: inconsistent (offending factors: "
-                 + ", ".join(str(w_) for w_ in cls.offenders) + ")"]
-    _emit(args, report, lines)
-    return EXIT_OK
+        line = ("class: inconsistent (offending factors: "
+                + ", ".join(str(w_) for w_ in cls.offenders) + ")")
+    return Outcome({"length": len(w)}, {"class": cls.to_json()}, [line])
 
 
-_DECODERS = {"g": (g_decode, 2), "f": (f_decode, 3), "h": (h_decode, 3)}
+def _cmd_decode(args) -> Outcome:
+    m = named(args.morphism)
+    w = _load_input(args, m.target_alphabet)
+    result = decode(m, w)
+    return Outcome({"morphism": args.morphism, "length": len(w)},
+                   result.to_json(), [
+                       f"preimage: {result.preimage}",
+                       f"dropped_prefix: {result.dropped_prefix}",
+                       f"truncated_suffix: {result.truncated_suffix}"])
 
 
-def _cmd_decode(args) -> int:
-    t0 = time.perf_counter()
-    decoder, alphabet = _DECODERS[args.morphism]
-    w = _load_input(args, alphabet, f"{args.morphism}-decode")
-    result = decoder(w)
-    elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport("decode",
-                       {"morphism": args.morphism, "length": len(w)},
-                       result.to_json(), elapsed)
-    _emit(args, report, [
-        f"preimage: {result.preimage}",
-        f"dropped_prefix: {result.dropped_prefix}",
-        f"truncated_suffix: {result.truncated_suffix}",
-    ])
-    return EXIT_OK
+def _verdict(rep) -> str:
+    if rep is None:
+        return "-"
+    state = "clean" if rep.clean else f"violation at {rep.violation.position}"
+    return f"{state} (checked {rep.checked_length} letters, trim {rep.trim})"
 
 
-def _cmd_decompose(args) -> int:
-    t0 = time.perf_counter()
-    w = _load_input(args, 2, "decompose")
+def _cmd_decompose(args) -> Outcome:
+    w = _load_input(args, 2)
     cert = decompose(w, args.depth, min_level_length=args.min_level_length,
                      front_trim_bound=args.seed_trim)
-    elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport("decompose",
-                       {"depth": args.depth, "length": len(w)},
-                       cert.to_json(), elapsed)
     lines = [f"class: {cert.factor_class.tag.value}",
              f"depth_achieved: {cert.depth_achieved}"]
     for idx, level in enumerate(cert.levels):
-        def verdict(rep):
-            if rep is None:
-                return "-"
-            state = "clean" if rep.clean else f"violation at {rep.violation.position}"
-            return (f"{state} (checked {rep.checked_length} letters, "
-                    f"trim {rep.trim})")
         lines.append(
             f"level {idx} [{level.morphism}]: preimage length "
             f"{len(level.decode.preimage)}, margins "
             f"{level.decode.dropped_prefix}/{level.decode.truncated_suffix}, "
-            f"tail_trim {level.tail_trim}; proper: {verdict(level.proper)}; "
-            f"antiproper: {verdict(level.antiproper)}")
-    _emit(args, report, lines)
-    return EXIT_OK
+            f"tail_trim {level.tail_trim}; proper: {_verdict(level.proper)}; "
+            f"antiproper: {_verdict(level.antiproper)}")
+    return Outcome({"depth": args.depth, "length": len(w)}, cert.to_json(),
+                   lines)
 
 
-def _cmd_generate(args) -> int:
-    t0 = time.perf_counter()
-    w = generate_case_word(args.case, args.depth, args.length)
-    elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport("generate",
-                       {"case": args.case, "depth": args.depth,
-                        "length": args.length},
-                       {"word": str(w)}, elapsed)
-    _emit(args, report, [str(w)])
-    return EXIT_OK
+def _cmd_generate(args) -> Outcome:
+    w = generate_case_word(args.case, args.depth, args.length, limit=args.limit)
+    return Outcome({"case": args.case, "depth": args.depth,
+                    "length": args.length}, {"word": str(w)}, [str(w)])
 
 
-def _cmd_complexity(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_complexity(args) -> Outcome:
     if args.max_n < 1:
         raise SourceError("--max-n must be at least 1")
     if args.safety < 0:
         raise SourceError("--safety must be non-negative")
-    w = _load_input(args, None, "complexity")
+    w = _load_input(args)
     if len(w) < args.safety * args.max_n:
         raise SourceError(
             f"word of length {len(w)} is too short for max_n {args.max_n}; "
             f"provide at least {args.safety * args.max_n} letters "
             f"(safety factor {args.safety})")
     rows = []
+    lines = []
     all_match = True
     for n in range(1, args.max_n + 1):
         c = factor_complexity(w, n)
         row = {"n": n, "complexity": c}
+        line = f"n={n}: {c}"
         if args.expect:
             expected = 2 * n if args.expect == "2n" else 2 * n + 1
             row["expected"] = expected
             row["match"] = c == expected
             all_match &= row["match"]
+            line += f" expected {expected} {'ok' if row['match'] else 'MISMATCH'}"
         rows.append(row)
-    elapsed = (time.perf_counter() - t0) * 1000
-    status = "ok" if (not args.expect or all_match) else "mismatch"
-    report = RunReport("complexity",
-                       {"length": len(w), "max_n": args.max_n,
-                        "expect": args.expect},
-                       {"rows": rows}, elapsed, status)
-    lines = []
-    for row in rows:
-        line = f"n={row['n']}: {row['complexity']}"
-        if args.expect:
-            line += (f" expected {row['expected']} "
-                     f"{'ok' if row['match'] else 'MISMATCH'}")
         lines.append(line)
-    _emit(args, report, lines)
-    return EXIT_OK if status == "ok" else EXIT_MISMATCH
+    return Outcome({"length": len(w), "max_n": args.max_n,
+                    "expect": args.expect}, {"rows": rows}, lines,
+                   "ok" if all_match else "mismatch")
 
 
-def _cmd_check_power(args) -> int:
-    t0 = time.perf_counter()
-    w = _load_input(args, None, "check-power")
+def _cmd_check_power(args) -> Outcome:
+    w = _load_input(args)
     try:
         threshold = Fraction(args.threshold)
     except (ValueError, ZeroDivisionError) as exc:
         raise SourceError(f"bad threshold {args.threshold!r}: {exc}") from exc
     witness = is_power_free(w, threshold, args.strict)
-    elapsed = (time.perf_counter() - t0) * 1000
-    report = RunReport("check-power",
-                       {"length": len(w), "threshold": str(threshold),
-                        "strict": args.strict},
-                       {"witness": None if witness is None else witness.to_json()},
-                       elapsed)
     if witness is None:
         kind = f"{threshold}{'+' if args.strict else ''}"
-        lines = [f"ok: no factor violates the {kind} bound"]
+        line = f"ok: no factor violates the {kind} bound"
     else:
-        lines = [f"witness: start={witness.start} length={witness.length} "
-                 f"period={witness.period}"]
-    _emit(args, report, lines)
-    return EXIT_OK
+        line = (f"witness: start={witness.start} length={witness.length} "
+                f"period={witness.period}")
+    return Outcome({"length": len(w), "threshold": str(threshold),
+                    "strict": args.strict},
+                   {"witness": None if witness is None else witness.to_json()},
+                   [line])
 
 
 # ------------------------------------------------------------------ parser
@@ -402,9 +336,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     common.add_argument("--limit", type=int, default=DEFAULT_LENGTH_GUARD,
-                        help="input length guard in letters")
+                        help="length guard in letters, also on generate")
     common.add_argument("--seed-trim", type=int, default=64, dest="seed_trim",
                         help="front-trim bound for properness reports")
+    source = argparse.ArgumentParser(add_help=False, parents=[common])
+    source.add_argument("--input", required=True)
 
     parser = argparse.ArgumentParser(
         prog="rotewords",
@@ -428,21 +364,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=200)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("classify", parents=[common],
+    p = sub.add_parser("classify", parents=[source],
                        help="length-4 factor classification of a binary word")
-    p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("decode", parents=[common],
-                       help="invert one morphism application")
-    p.add_argument("--morphism", choices=sorted(_DECODERS), required=True)
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("decode", parents=[source],
+                       help="invert one application of a morphism whose "
+                            "images carry a marker letter (g, f, h, tau)")
+    p.add_argument("--morphism", choices=NAMED_MORPHISMS, required=True)
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("decompose", parents=[common],
+    p = sub.add_parser("decompose", parents=[source],
                        help="iterated decoding with properness certificates")
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--input", required=True)
     p.add_argument("--min-level-length", type=int, default=10,
                    dest="min_level_length")
     p.set_defaults(func=_cmd_decompose)
@@ -454,18 +388,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("complexity", parents=[common],
+    p = sub.add_parser("complexity", parents=[source],
                        help="factor complexity table of a word")
-    p.add_argument("--input", required=True)
     p.add_argument("--max-n", type=int, required=True, dest="max_n")
     p.add_argument("--expect", choices=["2n", "2n+1"], default=None)
     p.add_argument("--safety", type=int, default=100,
                    help="required input length as a multiple of max-n")
     p.set_defaults(func=_cmd_complexity)
 
-    p = sub.add_parser("check-power", parents=[common],
+    p = sub.add_parser("check-power", parents=[source],
                        help="scan all factors against an exponent threshold")
-    p.add_argument("--input", required=True)
     p.add_argument("--threshold", required=True,
                    help="rational threshold such as 5/2")
     p.add_argument("--strict", action="store_true",
@@ -475,17 +407,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
-    except LengthLimitError as exc:
+        outcome = args.func(args)
+    except (LengthLimitError, ValueError, OSError) as exc:
+        # every library error but the length guard is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except (SourceError, ParseError, AlphabetError, ClassificationError,
-            DecompositionError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_LIMIT if isinstance(exc, LengthLimitError) else EXIT_USAGE
+    report = RunReport(args.command, outcome.parameters, outcome.results,
+                       (time.perf_counter() - t0) * 1000, outcome.status)
+    if args.json:
+        for record in outcome.records:
+            print(json.dumps(record))
+        print(json.dumps(report.to_json()))
+    else:
+        for line in outcome.lines:
+            print(line)
+        print(f"elapsed: {report.elapsed_ms:.1f} ms", file=sys.stderr)
+    return EXIT_OK if outcome.status == "ok" else EXIT_MISMATCH
 
 
 if __name__ == "__main__":

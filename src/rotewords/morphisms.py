@@ -86,6 +86,8 @@ class Morphism:
             raise AlphabetError("fixed points require source and target alphabets to match")
         if not 0 <= seed < self.source_alphabet:
             raise AlphabetError(f"seed {seed} is not a source letter")
+        if min_length < 0:
+            raise ValueError("prefix length must be non-negative")
         if not self.non_erasing:
             raise ValueError("fixed-point iteration requires a non-erasing morphism")
         img = self.images[seed].letters

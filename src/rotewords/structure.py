@@ -7,42 +7,49 @@ sets: the base set
 
 or its image under complement, reversal, or both.  A word of class F (or
 its complement) peels as g applied to an iterated f-image of a ternary
-word; the reversed classes peel through h instead.  The decoders below
-invert one morphism application on a finite prefix: they drop a bounded
-number of leading letters to reach a block boundary, parse maximal blocks
-greedily, and truncate an incomplete final block, so that re-encoding the
-preimage and re-attaching both margins reproduces the input exactly.
+word; the reversed classes peel through h instead.
 
-Block grammars (each image carries its initial letter exactly once for
-g/f, and its final 0 exactly once for h, which is what makes the greedy
-left-to-right parse unambiguous):
+``decode`` inverts one application of a morphism on a finite factor of
+an image, reading its grammar off the morphism's images:
 
-    g:  011 -> 0,   0 -> 1,    01 -> 2     (blocks split at each 0)
-    f:  0121 -> 0,  021 -> 1,  01 -> 2     (blocks split at each 0)
-    h:  1210 -> 0,  120 -> 1,  10 -> 2     (blocks end at each 0)
+- the start letter begins every image (0 for g, f and tau; 1 for h);
+- the marker occurs exactly once in every image, always at the same
+  end: first for g, f and tau (where it is the start letter), last for h;
+- the margin is the longest image length minus one (2 for g, 3 for f, h).
 
-``decompose`` chains the decoders to the requested depth and attaches a
-properness report to every ternary level.  Structure on a finite prefix
-is only evidence about a final segment of the underlying infinite word,
-so reports tolerate violations near the front and each level drops its
-last decoded letter when the final block could be the cut-off start of a
-longer image - such a letter is not trustworthy evidence.  A report is
-one forgiving scan of the level word (``properness.forgiving_scan``):
-violations that start before the front-trim bound are forgiven, the
-recorded trim is one past the start of the last of them, and the first
-violation at or after the bound is reported.  The scan walks the
-forbidden-factor occurrences once and runs the xyxyx search once, however
-many violations it forgives.
+Letters before the first start letter are dropped, at most the margin of
+them.  The rest splits at each marker into blocks (one marker per image,
+at a fixed end, makes this the only parse), each an image, except that
+the last may be a proper prefix of one, cut off by the end of the word.
+Re-encoding the preimage and re-attaching both margins reproduces
+the input exactly.  Morphisms without a start letter or marker (mu,
+theta, sigma, sigma_inv) are not decoded.
+
+``decompose`` chains decodes through g and then f or h to the requested
+depth and attaches a properness report to every ternary level.  Structure
+on a finite prefix is only evidence about a final segment of the
+underlying infinite word, so reports tolerate violations near the front,
+and each level drops its last decoded letter when that letter's image is
+a proper prefix of another image ({1, 2} under g, {2} under f, none under
+h): its final block could be the cut-off start of a longer image, so it
+is not trustworthy evidence.  A report is one forgiving scan of the
+level word (``properness.forgiving_scan``): violations that start before
+the front-trim bound are forgiven, the recorded trim is one past the
+start of the last of them, and the first violation at or after the bound
+is reported.  The scan walks the forbidden-factor occurrences once and
+runs the xyxyx search once, however many violations it forgives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
-from .morphisms import named
+from .morphisms import Morphism, named
 from .properness import Violation, forgiving_scan
-from .words import AlphabetError, Word, complement, factors_of_length
+from .words import (AlphabetError, LengthLimitError, Word, complement,
+                    factors_of_length, parikh)
 
 
 class CaseTag(Enum):
@@ -160,144 +167,72 @@ class DecodeResult:
                 "truncated_suffix": self.truncated_suffix}
 
 
-_MAX_MARGIN = 3  # longest image length minus one, over f, g, h
+def _grammar(m: Morphism) -> tuple[bytes, bytes, bool, dict[bytes, int]]:
+    """(start letter, marker, whether the marker comes first, image bodies).
 
-
-def g_decode(w: Word) -> DecodeResult:
-    """Invert g on a binary word: blocks 011 -> 0, 0 -> 1, 01 -> 2.
-
-    Leading 1s (at most two) are dropped; a run of three or more 1s is not
-    part of any g-image and raises.  Every 0-initiated block of at most
-    two 1s is itself a complete image, so nothing is ever truncated.
+    An image body is the image without its marker; the bodies name the
+    letters they encode.
     """
-    if w.alphabet_size != 2:
-        raise AlphabetError("g_decode expects a binary word")
+    images = [img.letters for img in m.images]
+    start = images[0][:1]
+    if start and all(img.startswith(start) for img in images):
+        for first, marker in ((True, start), (False, images[0][-1:])):
+            if all((img.startswith if first else img.endswith)(marker)
+                   and img.count(marker) == 1 for img in images):
+                return start, marker, first, {
+                    img[1:] if first else img[:-1]: a
+                    for a, img in enumerate(images)}
+    raise ValueError(f"{m!r} cannot be decoded: its images need a common "
+                     f"first letter and a letter that occurs once in each, "
+                     f"always at the same end")
+
+
+def decode(m: Morphism, w: Word) -> DecodeResult:
+    """Invert one application of the marker morphism m on a finite word w.
+
+    See the module docstring for how the parse follows from m's images.
+    Raises ValueError when m has no start letter or no marker, and
+    DecodeError when w is not a margin-trimmed image of m.
+    """
+    start, mark, first, bodies = _grammar(m)
+    if w.alphabet_size != m.target_alphabet:
+        raise AlphabetError(f"decoding {m!r} expects a word over "
+                            f"{m.target_alphabet} letters")
     data = w.letters
-    n = len(data)
-    i = 0
-    while i < n and data[i] == 1:
-        i += 1
-    dropped = i
-    if dropped >= 3:
-        raise DecodeError("run of three or more 1s at position 0", 0)
-    out = bytearray()
-    by_ones = {0: 1, 1: 2, 2: 0}
-    while i < n:
-        j = i + 1
-        while j < n and data[j] == 1:
-            j += 1
-        ones = j - i - 1
-        if ones >= 3:
-            raise DecodeError(f"run of three or more 1s at position {i + 1}", i + 1)
-        out.append(by_ones[ones])
-        i = j
-    return DecodeResult(Word(bytes(out), 3), dropped, 0)
+    dropped = len(data.partition(start)[0])
+    if dropped > max(map(len, m.images)) - 1:
+        raise DecodeError(f"leading segment of {dropped} letters is too long "
+                          f"to be the tail of an image", 0)
+    pieces = data[dropped:].split(mark)
+    if first:
+        del pieces[0]                   # empty: the rest begins with the marker
+        tail = b"" if not pieces or pieces[-1] in bodies else mark + pieces.pop()
+    else:
+        tail = pieces.pop()             # the letters after the last marker
+    letters = list(map(bodies.get, pieces))
+    k = letters.index(None) if None in letters else len(pieces)
+    if k < len(pieces) or tail and not any(img.letters.startswith(tail)
+                                           for img in m.images):
+        at = dropped + sum(map(len, pieces[:k])) + k
+        raise DecodeError(f"block at position {at} is not an image, nor a "
+                          f"proper prefix of one ending the word", at)
+    return DecodeResult(Word(bytes(letters), m.source_alphabet), dropped,
+                        len(tail))
 
 
-def _block_decode(u: Word, images: dict[bytes, int], boundary_letter: int,
-                  morphism_name: str) -> DecodeResult:
-    """Shared f/h block parser; blocks are delimited by ``boundary_letter``."""
-    data = u.letters
-    n = len(data)
-    i = data.find(boundary_letter)
-    dropped = i if i != -1 else n
-    if dropped > _MAX_MARGIN:
-        raise DecodeError(
-            f"leading segment of {dropped} letters is too long to be the "
-            f"tail of an {morphism_name}-image", 0)
-    if i == -1:
-        return DecodeResult(Word(b"", 3), dropped, 0)
-    out = bytearray()
-    while i < n:
-        j = data.find(boundary_letter, i + 1)
-        if j == -1:
-            block = data[i:]
-            letter = images.get(block)
-            if letter is not None:
-                out.append(letter)
-                return DecodeResult(Word(bytes(out), 3), dropped, 0)
-            if any(img.startswith(block) for img in images):
-                return DecodeResult(Word(bytes(out), 3), dropped, len(block))
-            raise DecodeError(
-                f"final block {''.join(map(str, block))} at position {i} is "
-                f"not an {morphism_name}-image or a prefix of one", i)
-        block = data[i:j]
-        letter = images.get(block)
-        if letter is None:
-            raise DecodeError(
-                f"block {''.join(map(str, block))} at position {i} is not "
-                f"an {morphism_name}-image", i)
-        out.append(letter)
-        i = j
-    return DecodeResult(Word(bytes(out), 3), dropped, 0)
+g_decode = partial(decode, named("g"))
+f_decode = partial(decode, named("f"))
+h_decode = partial(decode, named("h"))
 
 
-_F_BLOCKS = {bytes([0, 1, 2, 1]): 0, bytes([0, 2, 1]): 1, bytes([0, 1]): 2}
-
-
-def f_decode(u: Word) -> DecodeResult:
-    """Invert f on a ternary word: 0-blocks 0121 -> 0, 021 -> 1, 01 -> 2."""
-    if u.alphabet_size != 3:
-        raise AlphabetError("f_decode expects a ternary word")
-    return _block_decode(u, _F_BLOCKS, 0, "f")
-
-
-def h_decode(u: Word) -> DecodeResult:
-    """Invert h on a ternary word: blocks 1210 -> 0, 120 -> 1, 10 -> 2.
-
-    Each h-image contains exactly one 0, at its end, so blocks run from a
-    starting 1 through the next 0.
-    """
-    if u.alphabet_size != 3:
-        raise AlphabetError("h_decode expects a ternary word")
-    data = u.letters
-    n = len(data)
-    i = data.find(1)
-    dropped = i if i != -1 else n
-    if dropped > _MAX_MARGIN:
-        raise DecodeError(
-            f"leading segment of {dropped} letters is too long to be the "
-            f"tail of an h-image", 0)
-    if i == -1:
-        return DecodeResult(Word(b"", 3), dropped, 0)
-    images = {bytes([1, 2, 1, 0]): 0, bytes([1, 2, 0]): 1, bytes([1, 0]): 2}
-    out = bytearray()
-    while i < n:
-        if data[i] != 1:
-            raise DecodeError(f"block at position {i} does not start with 1", i)
-        j = data.find(0, i)
-        if j == -1:
-            block = data[i:]
-            if any(img.startswith(block) for img in images):
-                return DecodeResult(Word(bytes(out), 3), dropped, len(block))
-            raise DecodeError(
-                f"final block {''.join(map(str, block))} at position {i} is "
-                f"not an h-image or a prefix of one", i)
-        block = data[i:j + 1]
-        letter = images.get(block)
-        if letter is None:
-            raise DecodeError(
-                f"block {''.join(map(str, block))} at position {i} is not an "
-                f"h-image", i)
-        out.append(letter)
-        i = j + 1
-    return DecodeResult(Word(bytes(out), 3), dropped, 0)
-
-
-_DECODERS = {"g": g_decode, "f": f_decode, "h": h_decode}
-
-# Final decoded letters that may be the cut-off start of a longer image:
-# for g, blocks "0" (letter 1) and "01" (letter 2) extend to "011"; for f,
-# block "01" (letter 2) extends to "0121".  h-images are mutually
-# prefix-free, so h never misreads its final block.
-_AMBIGUOUS_FINAL = {"g": (1, 2), "f": (2,), "h": ()}
-
-
-def _tail_trim(morphism_name: str, result: DecodeResult) -> int:
+def _tail_trim(m: Morphism, result: DecodeResult) -> int:
+    """1 when the last decoded letter's image is a proper prefix of another
+    image, so the final block may be the cut-off start of a longer one."""
     if result.truncated_suffix > 0 or len(result.preimage) == 0:
         return 0
-    last = result.preimage.letters[-1]
-    return 1 if last in _AMBIGUOUS_FINAL[morphism_name] else 0
+    last = m.images[result.preimage.letters[-1]].letters
+    return int(any(img.letters != last and img.letters.startswith(last)
+                   for img in m.images))
 
 
 @dataclass(frozen=True)
@@ -347,7 +282,7 @@ class LevelRecord:
     """One decoding level: the morphism inverted, its result, and reports.
 
     ``tail_trim`` counts letters dropped from the end of the preimage
-    before the properness checks and the next decode (see _AMBIGUOUS_FINAL).
+    before the properness checks and the next decode (see _tail_trim).
     ``antiproper`` is populated on h-chain levels only.
     """
 
@@ -410,14 +345,15 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
     achieved = 0
 
     def add_level(name: str, source: Word) -> Word:
+        m = named(name)
         try:
-            result = _DECODERS[name](source)
+            result = decode(m, source)
         except DecodeError as exc:
-            partial = DecompositionCertificate(cls, tuple(levels), achieved)
+            so_far = DecompositionCertificate(cls, tuple(levels), achieved)
             raise DecompositionError(
                 f"{name}-decode failed at level {len(levels)}: {exc}",
-                partial) from exc
-        trim = _tail_trim(name, result)
+                so_far) from exc
+        trim = _tail_trim(m, result)
         trimmed = (result.preimage[:len(result.preimage) - trim]
                    if trim else result.preimage)
         proper = _report(trimmed, False, front_trim_bound, length_guard)
@@ -435,13 +371,20 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
     return DecompositionCertificate(cls, tuple(levels), achieved)
 
 
-def generate_case_word(case: CaseTag | str, depth: int, min_length: int) -> Word:
+def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
+                       limit: int | None = None) -> Word:
     """Construct a word of the designated class from a fixed-point prefix.
 
     Class F is g applied to depth-fold f-images of a prefix of f's fixed
     point from 0; the reversed classes use h from its fixed point on 1,
     the only letter h is prolongable on.  Bar classes are complements.
     The result is truncated to exactly ``min_length`` letters.
+
+    Before anything is built, LengthLimitError is raised when
+    ``min_length`` exceeds ``limit`` or when a word of the first build
+    (the depth-fold image of the 4-letter seed prefix, then g of it)
+    would; their lengths follow from letter counts.  Later builds, from
+    longer seed prefixes, are not held to the limit.
     """
     tag = CaseTag(case) if not isinstance(case, CaseTag) else case
     if depth < 0:
@@ -454,6 +397,21 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int) -> Word
     else:
         inner, seed = named("h"), 1
     seed_length = 4
+    if limit is not None:
+        if min_length > limit:
+            raise LengthLimitError(
+                f"generate length {min_length} exceeds the limit {limit}")
+        # the seed prefix is a prefix of the seed's image
+        counts = parikh(Word(inner.images[seed].letters[:seed_length], 3))
+        for k in range(depth + 1):
+            m = inner if k < depth else g
+            counts = [sum(c * img.letters.count(b)
+                          for c, img in zip(counts, m.images))
+                      for b in range(m.target_alphabet)]
+            if sum(counts) > limit:
+                raise LengthLimitError(
+                    f"generate depth {depth} builds a word of {sum(counts)} "
+                    f"letters, which exceeds the limit {limit}")
     while True:
         base = inner.iterate_prefix(seed, seed_length)
         for _ in range(depth):

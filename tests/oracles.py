@@ -151,3 +151,33 @@ def brute_report(data: bytes, trim_bound: int, mirrored: bool):
                 detail = (start, detail[1], detail[2])
             return trim, (kind, start, detail)
         trim = start + 1
+
+
+def brute_decode(m, w):
+    """(preimage, dropped, truncated) of w under the morphism m, or None.
+
+    Drops the letters before the first start letter (the letter every
+    image begins with), at most the longest image length minus one of
+    them, then tries every parse of the rest into images followed by a
+    proper prefix of an image, and keeps the parse that truncates the
+    fewest letters."""
+    images = [img.letters for img in m.images]
+    data = w.letters
+    start = images[0][0]
+    dropped = next((i for i, c in enumerate(data) if c == start), len(data))
+    if dropped > max(len(img) for img in images) - 1:
+        return None
+    best = None
+
+    def search(i, preimage):
+        nonlocal best
+        rest = data[i:]
+        if any(img != rest and img[:len(rest)] == rest for img in images):
+            if best is None or len(rest) < best[2]:
+                best = (bytes(preimage), dropped, len(rest))
+        for a, img in enumerate(images):
+            if rest[:len(img)] == img:
+                search(i + len(img), preimage + [a])
+
+    search(dropped, [])
+    return best

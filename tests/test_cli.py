@@ -119,6 +119,34 @@ def test_decode_command(capsys):
     assert "error" in err
 
 
+def test_decode_tau_round_trip(capsys):
+    code, out, _ = run(capsys, "decode", "--morphism", "tau", "--input",
+                       "image:tau:fixpoint:f:0:200", "--json")
+    assert code == 0
+    results = json_lines(out)[0]["results"]
+    assert results == {"preimage": str(named("f").iterate_prefix(0, 200)),
+                       "dropped_prefix": 0, "truncated_suffix": 0}
+
+
+def test_decode_morphism_without_marker_is_usage_error(capsys):
+    code, out, err = run(capsys, "decode", "--morphism", "mu", "--input",
+                         "fixpoint:mu:0:100")
+    assert code == 2
+    assert out == ""
+    assert "cannot be decoded" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "--morphism", "f", "--input", "fixpoint:f:0:-2", "--json"],
+    ["check-power", "--input", "fixpoint:f:0:-5", "--threshold", "2"],
+])
+def test_negative_fixpoint_length_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err
+
+
 def test_decompose_json(capsys):
     code, out, _ = run(capsys, "decompose", "--depth", "2", "--input",
                        "image:g:fixpoint:f:0:1000", "--json")
@@ -139,6 +167,37 @@ def test_generate_then_classify(tmp_path, capsys):
     code, out, _ = run(capsys, "classify", "--input", str(path))
     assert code == 0
     assert out.strip() == "class: FbarRev"
+
+
+@pytest.mark.parametrize("argv, length", [
+    (["--depth", "8", "--length", "100"], 31572),      # f^8 of the seed prefix
+    (["--depth", "4", "--length", "20001"], 20001),
+    (["--depth", "1", "--length", "20", "--limit", "22"], 23),
+    (["--depth", "10000000", "--length", "100"], 31572),
+])
+def test_generate_refuses_before_building(capsys, argv, length):
+    built = AssertionError("a word was built")
+    with mock.patch.object(Morphism, "iterate_prefix", side_effect=built), \
+            mock.patch.object(Morphism, "apply", side_effect=built):
+        code, out, err = run(capsys, "generate", "--case", "F", *argv)
+    assert code == 3
+    assert out == ""
+    assert f" {length} " in err and "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("case, depth, length, limit", [
+    ("F", 7, 100, 20000),         # the first build has 19423 letters
+    ("FbarRev", 7, 100, 20000),
+    ("Frev", 4, 20000, 20000),    # later builds may pass the limit
+    ("F", 1, 20, 23),             # a first build of exactly the limit
+])
+def test_generate_admits_builds_within_the_limit(capsys, case, depth, length,
+                                                 limit):
+    code, out, _ = run(capsys, "generate", "--case", case, "--depth",
+                       str(depth), "--length", str(length), "--limit",
+                       str(limit))
+    assert code == 0
+    assert len(out.strip()) == length
 
 
 def test_generate_negative_length_is_usage_error(capsys):
@@ -338,3 +397,30 @@ def test_decompose_output_is_pinned(capsys, name):
     assert code == 0
     results = digest_preimages(json.loads(out)["results"])
     assert results == json.loads(PINNED_RESULTS.read_text())[name]
+
+
+# ------------------------------------------------ golden stdout and exit codes
+
+# Plain stdout, --json stdout without elapsed_ms, and exit codes of a fixed
+# set of invocations, captured before the commands shared one dispatcher.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_stdout.json")
+                    .read_text())
+
+
+def without_elapsed(out):
+    lines = []
+    for line in out.splitlines():
+        payload = json.loads(line)
+        payload.pop("elapsed_ms", None)
+        lines.append(json.dumps(payload) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("entry", GOLDEN,
+                         ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_cli_stdout_is_unchanged(capsys, entry):
+    code, out, _ = run(capsys, *entry["argv"])
+    assert (code, out) == (entry["code"], entry["stdout"])
+    code, out, _ = run(capsys, *entry["argv"], "--json")
+    assert (code, without_elapsed(out)) == (entry["json_code"],
+                                            entry["json_stdout"])

@@ -1,6 +1,6 @@
 """Differential tests: the sampled agreement-run scan, the whole-word
-checks built on it and the properness reports, against the brute-force
-oracles.
+checks built on it, the properness reports and the block decoder, against
+the brute-force oracles.
 
 The whole-word checks take the sampled path only once runs of 2 *
 _DENSE_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -11,16 +11,17 @@ period is sampled.
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotewords import (FORBIDDEN_FACTORS, Word, find_dominated_xyxyx,
-                       is_power_free, max_factor_exponent, named,
-                       smallest_period)
+from rotewords import (FORBIDDEN_FACTORS, DecodeError, Word, decode,
+                       find_dominated_xyxyx, is_power_free,
+                       max_factor_exponent, named, smallest_period)
 from rotewords import repetitions, structure
 from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs
 
-from oracles import (brute_agreement_runs, brute_avoids,
+from oracles import (brute_agreement_runs, brute_avoids, brute_decode,
                      brute_dominated_xyxyx, brute_max_exponent,
                      brute_report, brute_smallest_period)
 
@@ -171,3 +172,45 @@ def test_report_matches_rerun_loop(data, bound, mirrored, dense):
         report = structure._report(Word(data, 3), mirrored, bound, None)
     assert report_tuple(report) == brute_report(data, bound, mirrored)
     assert report.checked_length == len(data) - report.trim
+
+
+MARKER_MORPHISMS = ["g", "f", "h", "tau"]
+
+
+@st.composite
+def cut_image(draw):
+    """A marker morphism and an image of a random word with up to the
+    margin (longest image length minus one) cut off each end."""
+    m = named(draw(st.sampled_from(MARKER_MORPHISMS)))
+    image = m.apply(Word(draw(letters(m.source_alphabet, 0, 30)),
+                         m.source_alphabet)).letters
+    margin = max(len(img) for img in m.images) - 1
+    lo, hi = draw(st.integers(0, margin)), draw(st.integers(0, margin))
+    return m, image[lo:max(lo, len(image) - hi)]
+
+
+@st.composite
+def noise(draw):
+    m = named(draw(st.sampled_from(MARKER_MORPHISMS)))
+    return m, draw(letters(m.target_alphabet, 0, 30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(cut_image(), noise()))
+def test_decode_matches_brute_force(case):
+    m, data = case
+    expected = brute_decode(m, Word(data, m.target_alphabet))
+    try:
+        result = decode(m, Word(data, m.target_alphabet))
+    except DecodeError:
+        assert expected is None
+        return
+    assert expected == (result.preimage.letters, result.dropped_prefix,
+                        result.truncated_suffix)
+
+
+@pytest.mark.parametrize("name", ["mu", "theta", "sigma", "sigma_inv"])
+def test_decode_refuses_morphisms_without_a_marker(name):
+    m = named(name)
+    with pytest.raises(ValueError, match="cannot be decoded"):
+        decode(m, m.apply(Word(bytes(m.source_alphabet), m.source_alphabet)))

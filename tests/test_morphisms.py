@@ -73,6 +73,13 @@ def test_iterate_prefix_requires_prolongable_seed():
         named("f").iterate_prefix(5, 10)
 
 
+def test_iterate_prefix_refuses_a_negative_length():
+    # a negative slice bound would silently cut letters off the end
+    with pytest.raises(ValueError, match="non-negative"):
+        named("f").iterate_prefix(0, -2)
+    assert len(named("f").iterate_prefix(0, 0)) == 0
+
+
 def test_iterate_prefix_stability():
     theta = named("theta")
     long = theta.iterate_prefix(0, 400)

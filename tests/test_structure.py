@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 
 from rotewords import (CaseTag, ClassificationError, DecodeError,
-                       DecompositionError, FACTOR_SETS, Word,
+                       DecompositionError, FACTOR_SETS, LengthLimitError, Word,
                        classify_by_length4, complement, decompose, f_decode,
                        factor_complexity, g_decode, generate_case_word,
                        h_decode, is_power_free, named, parse_word, reverse)
@@ -96,6 +96,13 @@ def test_g_decode_errors_and_margins():
         g_decode(w2("111"))
     result = g_decode(w2("110"))
     assert (result.dropped_prefix, str(result.preimage)) == (2, "1")
+
+
+def test_g_decode_error_names_the_block_start():
+    # 0111 at position 3 is not a g-image; the error points at its 0
+    with pytest.raises(DecodeError) as err:
+        g_decode(w2("0100111"))
+    assert err.value.position == 3
 
 
 def test_f_decode_blocks():
@@ -282,6 +289,16 @@ def test_generated_words_are_power_free_and_rote():
         assert is_power_free(w, Fraction(5, 2), True) is None
         for n in range(1, 21):
             assert factor_complexity(w, n) == 2 * n
+
+
+@pytest.mark.parametrize("limit, length", [
+    (20000, 31572),     # f^8 of the seed prefix already exceeds the limit
+    (40000, 59815),     # g of it does
+])
+def test_generate_limit_names_the_first_word_over_it(limit, length):
+    with pytest.raises(LengthLimitError, match=f"builds a word of {length} "):
+        generate_case_word("F", 8, 100, limit=limit)
+    assert len(generate_case_word("F", 8, 100, limit=59815)) == 100
 
 
 def test_generate_depths_are_prefix_compatible():
