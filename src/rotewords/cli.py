@@ -33,8 +33,8 @@ from .morphisms import NAMED_MORPHISMS, equal_on_letters, named
 from .properness import DEFAULT_LENGTH_GUARD
 from .repetitions import exponent, is_power_free
 from .search import longest_avoiding, run_reference_table
-from .structure import (CaseTag, classify_by_length4, decode, decompose,
-                        generate_case_word)
+from .structure import (CaseTag, _grammar, classify_by_length4, decode,
+                        decompose, generate_case_word)
 from .words import (LengthLimitError, Word, complement, factor_complexity,
                     parse_word)
 
@@ -240,6 +240,7 @@ def _cmd_classify(args) -> Outcome:
 
 def _cmd_decode(args) -> Outcome:
     m = named(args.morphism)
+    _grammar(m)     # refuse a morphism without a marker before building w
     w = _load_input(args, m.target_alphabet)
     result = decode(m, w)
     return Outcome({"morphism": args.morphism, "length": len(w)},

@@ -380,11 +380,11 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
     the only letter h is prolongable on.  Bar classes are complements.
     The result is truncated to exactly ``min_length`` letters.
 
-    Before anything is built, LengthLimitError is raised when
+    Before any image is built, LengthLimitError is raised when
     ``min_length`` exceeds ``limit`` or when a word of the first build
     (the depth-fold image of the 4-letter seed prefix, then g of it)
-    would; their lengths follow from letter counts.  Later builds, from
-    longer seed prefixes, are not held to the limit.
+    would; their lengths follow from the seed prefix's letter counts.
+    Later builds, from longer seed prefixes, are not held to the limit.
     """
     tag = CaseTag(case) if not isinstance(case, CaseTag) else case
     if depth < 0:
@@ -401,8 +401,7 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
         if min_length > limit:
             raise LengthLimitError(
                 f"generate length {min_length} exceeds the limit {limit}")
-        # the seed prefix is a prefix of the seed's image
-        counts = parikh(Word(inner.images[seed].letters[:seed_length], 3))
+        counts = parikh(inner.iterate_prefix(seed, seed_length))
         for k in range(depth + 1):
             m = inner if k < depth else g
             counts = [sum(c * img.letters.count(b)

@@ -128,9 +128,13 @@ def test_decode_tau_round_trip(capsys):
                        "dropped_prefix": 0, "truncated_suffix": 0}
 
 
-def test_decode_morphism_without_marker_is_usage_error(capsys):
-    code, out, err = run(capsys, "decode", "--morphism", "mu", "--input",
-                         "fixpoint:mu:0:100")
+@pytest.mark.parametrize("name", ["mu", "theta", "sigma", "sigma_inv"])
+def test_decode_morphism_without_marker_is_usage_error(capsys, name):
+    built = AssertionError("the input was built")
+    with mock.patch.object(Morphism, "iterate_prefix", side_effect=built), \
+            mock.patch.object(Morphism, "apply", side_effect=built):
+        code, out, err = run(capsys, "decode", "--morphism", name, "--input",
+                             "fixpoint:mu:0:20000")
     assert code == 2
     assert out == ""
     assert "cannot be decoded" in err
@@ -169,20 +173,27 @@ def test_generate_then_classify(tmp_path, capsys):
     assert out.strip() == "class: FbarRev"
 
 
-@pytest.mark.parametrize("argv, length", [
-    (["--depth", "8", "--length", "100"], 31572),      # f^8 of the seed prefix
-    (["--depth", "4", "--length", "20001"], 20001),
-    (["--depth", "1", "--length", "20", "--limit", "22"], 23),
-    (["--depth", "10000000", "--length", "100"], 31572),
+@pytest.mark.parametrize("case, argv, length", [
+    ("F", ["--depth", "8", "--length", "100"], 31572),  # f^8 of the seed prefix
+    ("F", ["--depth", "4", "--length", "20001"], 20001),
+    ("F", ["--depth", "1", "--length", "20", "--limit", "22"], 23),
+    ("F", ["--depth", "10000000", "--length", "100"], 31572),
+    ("Frev", ["--depth", "8", "--length", "100"], 31572),  # h^8 of 1201
+    ("Frev", ["--depth", "7", "--length", "100", "--limit", "15000"], 19423),
+    ("FbarRev", ["--depth", "7", "--length", "100", "--limit", "19422"],
+     19423),
 ])
-def test_generate_refuses_before_building(capsys, argv, length):
-    built = AssertionError("a word was built")
-    with mock.patch.object(Morphism, "iterate_prefix", side_effect=built), \
-            mock.patch.object(Morphism, "apply", side_effect=built):
-        code, out, err = run(capsys, "generate", "--case", "F", *argv)
+def test_generate_refuses_before_building(capsys, case, argv, length):
+    with mock.patch.object(Morphism, "iterate_prefix", autospec=True,
+                           side_effect=Morphism.iterate_prefix) as prefix, \
+            mock.patch.object(Morphism, "apply",
+                              side_effect=AssertionError("a word was built")):
+        code, out, err = run(capsys, "generate", "--case", case, *argv)
     assert code == 3
     assert out == ""
     assert f" {length} " in err and "exceeds the limit" in err
+    # only the 4-letter seed prefix, whose letter counts give the lengths
+    assert all(call.args[2] <= 4 for call in prefix.call_args_list)
 
 
 @pytest.mark.parametrize("case, depth, length, limit", [

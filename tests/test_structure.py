@@ -291,14 +291,18 @@ def test_generated_words_are_power_free_and_rote():
             assert factor_complexity(w, n) == 2 * n
 
 
-@pytest.mark.parametrize("limit, length", [
-    (20000, 31572),     # f^8 of the seed prefix already exceeds the limit
-    (40000, 59815),     # g of it does
+@pytest.mark.parametrize("case", ["F", "Fbar", "Frev", "FbarRev"])
+@pytest.mark.parametrize("depth, limit, length", [
+    (8, 20000, 31572),  # f^8 or h^8 of the seed prefix already exceeds it
+    (8, 40000, 59815),  # g of it does
+    (7, 15000, 19423),  # h's seed prefix 1201 is not a prefix of h(1) = 120
 ])
-def test_generate_limit_names_the_first_word_over_it(limit, length):
+def test_generate_limit_names_the_first_word_over_it(case, depth, limit,
+                                                     length):
     with pytest.raises(LengthLimitError, match=f"builds a word of {length} "):
-        generate_case_word("F", 8, 100, limit=limit)
-    assert len(generate_case_word("F", 8, 100, limit=59815)) == 100
+        generate_case_word(case, depth, 100, limit=limit)
+    last = {7: 19423, 8: 59815}[depth]    # g of the depth-fold image
+    assert len(generate_case_word(case, depth, 100, limit=last)) == 100
 
 
 def test_generate_depths_are_prefix_compatible():
