@@ -435,3 +435,17 @@ def test_cli_stdout_is_unchanged(capsys, entry):
     code, out, _ = run(capsys, *entry["argv"], "--json")
     assert (code, without_elapsed(out)) == (entry["json_code"],
                                             entry["json_stdout"])
+
+
+# Plain stdout, --json stdout without elapsed_ms, and exit codes of the
+# 100-row complexity table on the four classes, of a 2n+1 mismatch and of
+# a table longer than its word, captured before the table was counted in
+# one pass.
+COMPLEXITY_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "complexity_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("entry", COMPLEXITY_GOLDEN,
+                         ids=[" ".join(e["argv"]) for e in COMPLEXITY_GOLDEN])
+def test_complexity_stdout_is_pinned(capsys, entry):
+    test_cli_stdout_is_unchanged(capsys, entry)
