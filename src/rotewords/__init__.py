@@ -7,7 +7,8 @@ classification/decomposition of binary words, plus a CLI (``rotewords``).
 
 from .words import (AlphabetError, LengthLimitError, ParseError, Word, word,
                     parse_word, complement, reverse, parikh, dominates,
-                    factors_of_length, factor_complexity)
+                    factors_of_length, factor_complexity,
+                    complexity_profile)
 from .repetitions import (Exponent, RepetitionWitness, smallest_period,
                           exponent, is_power_free, suffix_is_52plus_power,
                           max_factor_exponent)

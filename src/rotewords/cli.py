@@ -35,7 +35,7 @@ from .repetitions import exponent, is_power_free
 from .search import longest_avoiding, run_reference_table
 from .structure import (CaseTag, _grammar, classify_by_length4, decode,
                         decompose, generate_case_word)
-from .words import (LengthLimitError, Word, complement, factor_complexity,
+from .words import (LengthLimitError, Word, complement, complexity_profile,
                     parse_word)
 
 EXIT_OK = 0
@@ -285,6 +285,9 @@ def _cmd_complexity(args) -> Outcome:
         raise SourceError("--max-n must be at least 1")
     if args.safety < 0:
         raise SourceError("--safety must be non-negative")
+    if args.max_n > args.limit:     # the table has max_n rows, even past |w|
+        raise LengthLimitError(
+            f"--max-n {args.max_n} exceeds --limit {args.limit}")
     w = _load_input(args)
     if len(w) < args.safety * args.max_n:
         raise SourceError(
@@ -294,8 +297,9 @@ def _cmd_complexity(args) -> Outcome:
     rows = []
     lines = []
     all_match = True
+    profile = complexity_profile(w, args.max_n)
     for n in range(1, args.max_n + 1):
-        c = factor_complexity(w, n)
+        c = profile[n]
         row = {"n": n, "complexity": c}
         line = f"n={n}: {c}"
         if args.expect:

@@ -12,6 +12,7 @@ one word per line, so an alphabet has at most 10 letters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 
@@ -145,7 +146,29 @@ def factors_of_length(w: Word, n: int) -> set[Word]:
 
 def factor_complexity(w: Word, n: int) -> int:
     """Number of distinct length-n factors of w (1 for n = 0)."""
-    if n < 0:
+    return complexity_profile(w, n)[n]
+
+
+def complexity_profile(w: Word, max_n: int) -> list[int]:
+    """``[p(0), ..., p(max_n)]``, where p(n) counts the distinct length-n
+    factors of w, from one sort of the distinct windows of w.
+
+    Each position starts a window of length L = min(max_n, |w|), padded
+    past the end of w with 0xFF, which no letter is (see MAX_ALPHABET).  In
+    sorted order a window shares its first ``lcp`` bytes with the one before
+    it, so it adds one new factor for each length from lcp+1 to its unpadded
+    length (never below lcp: windows that agree into the padding are equal).
+    Memory is (distinct windows) x L bytes.
+    """
+    if max_n < 0:
         raise ValueError("factor length must be non-negative")
-    data = w.letters
-    return len({data[i:i + n] for i in range(len(data) - n + 1)})
+    data, size = w.letters, min(max_n, len(w))
+    padded = data + b"\xff" * size
+    new_from = [0] * (size + 2)     # difference array over lengths
+    previous = (1 << 8 * size) - 1  # all padding: shares no letter
+    for window in sorted({padded[i:i + size] for i in range(len(data))}):
+        value = int.from_bytes(window, "big")
+        new_from[size - ((value ^ previous).bit_length() + 7) // 8 + 1] += 1
+        new_from[len(window.rstrip(b"\xff")) + 1] -= 1
+        previous = value
+    return [1, *accumulate(new_from[1:size + 1])] + [0] * (max_n - size)

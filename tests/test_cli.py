@@ -258,6 +258,29 @@ def test_complexity_negative_safety_is_usage_error(capsys):
     assert "--safety" in err
 
 
+def test_complexity_max_n_over_the_limit_refuses_before_building(capsys):
+    with mock.patch.object(Morphism, "iterate_prefix", autospec=True,
+                           side_effect=AssertionError("built")) as prefix:
+        code, out, err = run(capsys, "complexity", "--input",
+                             "fixpoint:f:0:100", "--max-n", "101",
+                             "--limit", "100", "--safety", "0")
+    assert code == 3
+    assert out == ""
+    assert "--max-n 101 exceeds --limit 100" in err
+    prefix.assert_not_called()
+
+
+def test_complexity_admits_max_n_equal_to_the_limit(capsys):
+    code, out, _ = run(capsys, "complexity", "--input", "fixpoint:f:0:100",
+                       "--max-n", "100", "--limit", "100", "--safety", "1")
+    assert code == 0
+    assert out.splitlines()[-1] == "n=100: 1"
+    code, out, _ = run(capsys, "complexity", "--input", "literal:0110",
+                       "--max-n", "100", "--limit", "100", "--safety", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "n=100: 0"
+
+
 def test_check_power_witness(capsys):
     code, out, _ = run(capsys, "check-power", "--input", "literal:000",
                        "--threshold", "5/2", "--strict")

@@ -1,6 +1,6 @@
 """Differential tests: the sampled agreement-run scan, the whole-word
-checks built on it, the properness reports and the block decoder, against
-the brute-force oracles.
+checks built on it, the properness reports, the block decoder and the
+factor-complexity table, against the brute-force oracles.
 
 The whole-word checks take the sampled path only once runs of 2 *
 _DENSE_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -15,15 +15,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotewords import (FORBIDDEN_FACTORS, DecodeError, Word, decode,
-                       find_dominated_xyxyx, is_power_free,
-                       max_factor_exponent, named, smallest_period)
+from rotewords import (FORBIDDEN_FACTORS, DecodeError, Word,
+                       complexity_profile, decode, find_dominated_xyxyx,
+                       is_power_free, max_factor_exponent, named,
+                       smallest_period)
 from rotewords import repetitions, structure
 from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs
 
 from oracles import (brute_agreement_runs, brute_avoids, brute_decode,
-                     brute_dominated_xyxyx, brute_max_exponent,
-                     brute_report, brute_smallest_period)
+                     brute_dominated_xyxyx, brute_factor_count,
+                     brute_max_exponent, brute_report, brute_smallest_period)
 
 CROSSOVER = 2 * _DENSE_STRIDE - 1      # least min_len that is sampled
 
@@ -214,3 +215,33 @@ def test_decode_refuses_morphisms_without_a_marker(name):
     m = named(name)
     with pytest.raises(ValueError, match="cannot be decoded"):
         decode(m, m.apply(Word(bytes(m.source_alphabet), m.source_alphabet)))
+
+
+# Prefixes of the f and h fixed points and g of the f one, as ternary and
+# binary letters.
+CLASS_SOURCES = [(named("f").iterate_prefix(0, 1500).letters, 3),
+                 (named("h").iterate_prefix(1, 1500).letters, 3),
+                 (named("g").apply(named("f").iterate_prefix(0, 800)).letters,
+                  2)]
+
+
+@st.composite
+def class_window(draw):
+    data, k = draw(st.sampled_from(CLASS_SOURCES))
+    start = draw(st.integers(0, len(data) - 1))
+    return data[start:start + draw(st.integers(0, 150))], k
+
+
+# Alphabet 10 puts letter 9 next to the 0xFF padding.
+random_letters = st.sampled_from([1, 2, 3, 10]).flatmap(
+    lambda k: st.tuples(letters(k, 0, 60), st.just(k)))
+
+
+@example((b"", 1), 0)
+@example((b"", 2), 7)
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(random_letters, class_window()), st.integers(0, 90))
+def test_complexity_profile_matches_brute_force(case, max_n):
+    data, k = case
+    assert complexity_profile(Word(data, k), max_n) == [
+        brute_factor_count(data, n) for n in range(max_n + 1)]
