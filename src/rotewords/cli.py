@@ -24,9 +24,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple, Sequence
 
 from .morphisms import NAMED_MORPHISMS, equal_on_letters, named
@@ -46,20 +45,6 @@ EXIT_LIMIT = 3
 
 class SourceError(ValueError):
     pass
-
-
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict
-    results: object
-    elapsed_ms: float = 0.0
-    status: str = "ok"
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "parameters": self.parameters,
-                "results": self.results, "elapsed_ms": round(self.elapsed_ms, 3),
-                "status": self.status}
 
 
 def _read_word_line(path: str) -> str:
@@ -283,8 +268,6 @@ def _cmd_generate(args) -> Outcome:
 def _cmd_complexity(args) -> Outcome:
     if args.max_n < 1:
         raise SourceError("--max-n must be at least 1")
-    if args.safety < 0:
-        raise SourceError("--safety must be non-negative")
     if args.max_n > args.limit:     # the table has max_n rows, even past |w|
         raise LengthLimitError(
             f"--max-n {args.max_n} exceeds --limit {args.limit}")
@@ -336,14 +319,13 @@ def _cmd_check_power(args) -> Outcome:
 
 # ------------------------------------------------------------------ parser
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit machine-readable JSON")
     common.add_argument("--limit", type=int, default=DEFAULT_LENGTH_GUARD,
                         help="length guard in letters, also on generate")
-    common.add_argument("--seed-trim", type=int, default=64, dest="seed_trim",
-                        help="front-trim bound for properness reports")
     source = argparse.ArgumentParser(add_help=False, parents=[common])
     source.add_argument("--input", required=True)
 
@@ -384,6 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--min-level-length", type=int, default=10,
                    dest="min_level_length")
+    p.add_argument("--seed-trim", type=int, default=64, dest="seed_trim",
+                   help="front-trim bound for properness reports")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("generate", parents=[common],
@@ -415,21 +399,28 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        for name in ("limit", "seed_trim", "min_level_length", "safety"):
+            if getattr(args, name, 0) < 0:   # else read as 0 or an unmet bound
+                raise SourceError(
+                    f"--{name.replace('_', '-')} must be non-negative")
         outcome = args.func(args)
     except (LengthLimitError, ValueError, OSError) as exc:
         # every library error but the length guard is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT if isinstance(exc, LengthLimitError) else EXIT_USAGE
-    report = RunReport(args.command, outcome.parameters, outcome.results,
-                       (time.perf_counter() - t0) * 1000, outcome.status)
+    elapsed_ms = (time.perf_counter() - t0) * 1000
     if args.json:
         for record in outcome.records:
             print(json.dumps(record))
-        print(json.dumps(report.to_json()))
+        print(json.dumps({"command": args.command,
+                          "parameters": outcome.parameters,
+                          "results": outcome.results,
+                          "elapsed_ms": round(elapsed_ms, 3),
+                          "status": outcome.status}))
     else:
         for line in outcome.lines:
             print(line)
-        print(f"elapsed: {report.elapsed_ms:.1f} ms", file=sys.stderr)
+        print(f"elapsed: {elapsed_ms:.1f} ms", file=sys.stderr)
     return EXIT_OK if outcome.status == "ok" else EXIT_MISMATCH
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .repetitions import _agreement_runs
-from .words import AlphabetError, LengthLimitError, Word
+from .words import AlphabetError, LengthLimitError, Record, Word
 
 FORBIDDEN_FACTORS = (
     bytes([0, 0]),
@@ -48,7 +48,7 @@ DEFAULT_LENGTH_GUARD = 20000
 
 
 @dataclass(frozen=True)
-class XyxyxOccurrence:
+class XyxyxOccurrence(Record):
     """Factor u[start : start + 3*x_length + 2*y_length] of shape xyxyx."""
 
     start: int
@@ -59,13 +59,9 @@ class XyxyxOccurrence:
     def total_length(self) -> int:
         return 3 * self.x_length + 2 * self.y_length
 
-    def to_json(self) -> dict:
-        return {"start": self.start, "x_length": self.x_length,
-                "y_length": self.y_length}
-
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """Why a word fails the properness test and where.
 
     ``kind`` is "forbidden_factor" (detail: the factor's digit string) or
@@ -76,11 +72,6 @@ class Violation:
     kind: str
     position: int
     detail: object
-
-    def to_json(self) -> dict:
-        detail = (self.detail.to_json()
-                  if isinstance(self.detail, XyxyxOccurrence) else self.detail)
-        return {"kind": self.kind, "position": self.position, "detail": detail}
 
 
 def _guard(u: Word, max_length: int | None) -> None:

@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import total_ordering
 from math import gcd
 
-from .words import Word
+from .words import Record, Word
 
 
 @total_ordering
@@ -84,15 +84,12 @@ class Exponent:
 
 
 @dataclass(frozen=True)
-class RepetitionWitness:
+class RepetitionWitness(Record):
     """A factor [start, start+length) whose smallest period is ``period``."""
 
     start: int
     length: int
     period: int
-
-    def to_json(self) -> dict:
-        return {"start": self.start, "length": self.length, "period": self.period}
 
 
 def smallest_period(w: Word) -> int:

@@ -18,20 +18,15 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .repetitions import _suffix_52plus
-from .words import AlphabetError, Word, parse_word
+from .words import AlphabetError, Record, Word, parse_word
 
 
 @dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     max_length: int
     witness: Word            # lexicographically least word of max_length
     reached_target: bool
     nodes_explored: int
-
-    def to_json(self) -> dict:
-        return {"max_length": self.max_length, "witness": str(self.witness),
-                "reached_target": self.reached_target,
-                "nodes_explored": self.nodes_explored}
 
 
 def _as_factor_bytes(forbidden: Iterable[Word | str]) -> tuple[bytes, ...]:
@@ -116,18 +111,13 @@ REFERENCE_ROWS: tuple[tuple[tuple[str, ...], int], ...] = _reference_rows()
 
 
 @dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     forbidden: tuple[str, ...]
     expected: int
     computed: int
     witness: Word
     nodes: int
     match: bool
-
-    def to_json(self) -> dict:
-        return {"forbidden": list(self.forbidden), "expected": self.expected,
-                "computed": self.computed, "witness": str(self.witness),
-                "nodes": self.nodes, "match": self.match}
 
 
 def run_reference_table(rows: Sequence[tuple[Sequence[str], int]] | None = None,

@@ -48,8 +48,8 @@ from functools import partial
 
 from .morphisms import Morphism, named
 from .properness import Violation, forgiving_scan
-from .words import (AlphabetError, LengthLimitError, Word, complement,
-                    factors_of_length, parikh)
+from .words import (AlphabetError, LengthLimitError, Record, Word, _json,
+                    complement, factors_of_length, parikh)
 
 
 class CaseTag(Enum):
@@ -150,7 +150,7 @@ class DecodeError(ValueError):
 
 
 @dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(Record):
     """Preimage plus the letters discarded at either end of the input.
 
     ``input[:dropped_prefix] + encode(preimage) + input[n-truncated_suffix:]``
@@ -160,11 +160,6 @@ class DecodeResult:
     preimage: Word
     dropped_prefix: int
     truncated_suffix: int
-
-    def to_json(self) -> dict:
-        return {"preimage": str(self.preimage),
-                "dropped_prefix": self.dropped_prefix,
-                "truncated_suffix": self.truncated_suffix}
 
 
 def _grammar(m: Morphism) -> tuple[bytes, bytes, bool, dict[bytes, int]]:
@@ -236,7 +231,7 @@ def _tail_trim(m: Morphism, result: DecodeResult) -> int:
 
 
 @dataclass(frozen=True)
-class PropernessReport:
+class PropernessReport(Record):
     """One-sided properness evidence on a finite level word.
 
     Structure is only promised for a final segment, so violations that
@@ -258,11 +253,6 @@ class PropernessReport:
     def clean(self) -> bool:
         return self.violation is None
 
-    def to_json(self) -> dict:
-        return {"checked_length": self.checked_length, "trim": self.trim,
-                "violation": None if self.violation is None
-                else self.violation.to_json()}
-
 
 def _report(level_word: Word, mirrored: bool, trim_bound: int,
             guard: int | None) -> PropernessReport:
@@ -278,7 +268,7 @@ def _report(level_word: Word, mirrored: bool, trim_bound: int,
 
 
 @dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(Record):
     """One decoding level: the morphism inverted, its result, and reports.
 
     ``tail_trim`` counts letters dropped from the end of the preimage
@@ -292,12 +282,6 @@ class LevelRecord:
     proper: PropernessReport
     antiproper: PropernessReport | None
 
-    def to_json(self) -> dict:
-        return {"morphism": self.morphism, "decode": self.decode.to_json(),
-                "tail_trim": self.tail_trim, "proper": self.proper.to_json(),
-                "antiproper": None if self.antiproper is None
-                else self.antiproper.to_json()}
-
 
 @dataclass(frozen=True)
 class DecompositionCertificate:
@@ -306,8 +290,10 @@ class DecompositionCertificate:
     depth_achieved: int
 
     def to_json(self) -> dict:
+        # not a Record: its key "class" is a Python keyword, so no field
+        # can carry that name
         return {"class": self.factor_class.to_json(),
-                "levels": [lv.to_json() for lv in self.levels],
+                "levels": _json(self.levels),
                 "depth_achieved": self.depth_achieved}
 
 
@@ -321,8 +307,7 @@ class DecompositionError(ValueError):
 
 
 def decompose(w: Word, depth: int, *, min_level_length: int = 10,
-              front_trim_bound: int = 64,
-              length_guard: int | None = None) -> DecompositionCertificate:
+              front_trim_bound: int = 64) -> DecompositionCertificate:
     """Peel w through g and then ``depth`` rounds of f or h.
 
     The class decides the pipeline: Fbar/FbarRev inputs are complemented
@@ -356,8 +341,8 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
         trim = _tail_trim(m, result)
         trimmed = (result.preimage[:len(result.preimage) - trim]
                    if trim else result.preimage)
-        proper = _report(trimmed, False, front_trim_bound, length_guard)
-        anti = (_report(trimmed, True, front_trim_bound, length_guard)
+        proper = _report(trimmed, False, front_trim_bound, None)
+        anti = (_report(trimmed, True, front_trim_bound, None)
                 if chain == "h" else None)
         levels.append(LevelRecord(name, result, trim, proper, anti))
         return trimmed

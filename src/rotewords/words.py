@@ -11,7 +11,7 @@ one word per line, so an alphabet has at most 10 letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -78,6 +78,22 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, k={self.alphabet_size})"
+
+
+class Record:
+    """A result dataclass whose JSON is its fields in declaration order."""
+
+    def to_json(self) -> dict:
+        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
+
+
+def _json(value):
+    """Word -> digit string, tuple -> list, result -> its to_json()."""
+    if isinstance(value, Word):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_json(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
 
 
 def word(letters: Iterable[int] | str, alphabet_size: int) -> Word:

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 
 from rotewords import NAMED_MORPHISMS, Morphism, Word, named
-from rotewords.cli import main
+from rotewords.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -279,6 +279,34 @@ def test_complexity_admits_max_n_equal_to_the_limit(capsys):
                        "--max-n", "100", "--limit", "100", "--safety", "0")
     assert code == 0
     assert out.splitlines()[-1] == "n=100: 0"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check-power", "--input", "literal:0101", "--threshold", "2",
+      "--limit", "-5"], "--limit"),
+    (["decompose", "--depth", "2", "--input", "image:g:fixpoint:f:0:1000",
+      "--seed-trim", "-3"], "--seed-trim"),
+    (["decompose", "--depth", "2", "--input", "image:g:fixpoint:f:0:1000",
+      "--min-level-length", "-4"], "--min-level-length"),
+], ids=["limit", "seed-trim", "min-level-length"])
+def test_negative_count_option_is_usage_error(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"{flag} must be non-negative" in err
+
+
+def test_seed_trim_is_a_decompose_option_only(capsys):
+    code, _, _ = run(capsys, "decompose", "--depth", "2", "--input",
+                     "image:g:fixpoint:f:0:1000", "--seed-trim", "5")
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--forbidden", "0110", "--seed-trim", "5"])
+    assert exc.value.code == 2
+    assert "--seed-trim" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
 
 
 def test_check_power_witness(capsys):

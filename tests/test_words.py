@@ -1,7 +1,10 @@
+import json
 import random
+from dataclasses import dataclass
 
 import pytest
 
+from rotewords.words import Record
 from rotewords import (AlphabetError, ParseError, Word, complement,
                        dominates, factor_complexity, factors_of_length,
                        named, parikh, parse_word, reverse, word)
@@ -171,3 +174,25 @@ def test_factor_sets_commute_with_complement_and_reversal():
             facs = factors_of_length(u, n)
             assert factors_of_length(complement(u), n) == {complement(v) for v in facs}
             assert factors_of_length(reverse(u), n) == {reverse(v) for v in facs}
+
+
+@dataclass(frozen=True)
+class _Inner(Record):
+    witness: Word
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class _Outer(Record):
+    size: int
+    inner: _Inner
+    missing: _Inner | None
+    label: str
+
+
+def test_record_json_is_its_fields_in_order():
+    inner = _Inner(w2("0110"), ("ab", w2("1"), (2, 3)))
+    payload = _Outer(7, inner, None, "x").to_json()
+    assert json.dumps(payload) == (
+        '{"size": 7, "inner": {"witness": "0110", "parts": '
+        '["ab", "1", [2, 3]]}, "missing": null, "label": "x"}')
