@@ -268,9 +268,6 @@ def _cmd_generate(args) -> Outcome:
 def _cmd_complexity(args) -> Outcome:
     if args.max_n < 1:
         raise SourceError("--max-n must be at least 1")
-    if args.max_n > args.limit:     # the table has max_n rows, even past |w|
-        raise LengthLimitError(
-            f"--max-n {args.max_n} exceeds --limit {args.limit}")
     w = _load_input(args)
     if len(w) < args.safety * args.max_n:
         raise SourceError(
@@ -403,6 +400,11 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, name, 0) < 0:   # else read as 0 or an unmet bound
                 raise SourceError(
                     f"--{name.replace('_', '-')} must be non-negative")
+        for name in ("target", "max_n"):    # a search depth or table rows
+            value = getattr(args, name, 0)
+            if value > args.limit:
+                raise LengthLimitError(f"--{name.replace('_', '-')} {value} "
+                                       f"exceeds --limit {args.limit}")
         outcome = args.func(args)
     except (LengthLimitError, ValueError, OSError) as exc:
         # every library error but the length guard is a ValueError

@@ -81,6 +81,8 @@ class Morphism:
         Requires an endomorphism that is non-erasing and prolongable on the
         seed (its image starts with the seed and is at least 2 letters), so
         successive iterates extend each other and the prefix is unique.
+        As x = m(x), the seed's image is extended by the images of its own
+        letters, to at most ``min_length`` + (longest image - 1) letters.
         """
         if self.source_alphabet != self.target_alphabet:
             raise AlphabetError("fixed points require source and target alphabets to match")
@@ -95,10 +97,14 @@ class Morphism:
             raise ValueError(
                 f"morphism is not prolongable on {seed}: image {self.images[seed]}")
         imgs = [im.letters for im in self.images]
-        current = img
-        while len(current) < min_length:
-            current = b"".join(imgs[b] for b in current)
-        return Word(current[:min_length], self.source_alphabet)
+        longest = max(map(len, imgs))
+        out, i = bytearray(img), 1
+        while len(out) < min_length:
+            # the next letters' images fit in what is missing, or one image
+            j = min(i + max(1, (min_length - len(out)) // longest), len(out))
+            out += b"".join(map(imgs.__getitem__, out[i:j]))
+            i = j
+        return Word(bytes(out[:min_length]), self.source_alphabet)
 
     def __repr__(self) -> str:
         body = ",".join(str(im) for im in self.images)

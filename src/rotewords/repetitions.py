@@ -20,7 +20,8 @@ a hit is extended to its maximal ends with a local mismatch mask (XOR of
 the two shifted byte strings as big integers, zero bytes marking
 agreement).  That is about 2n/L probes per period, O(n log n) in all.
 Short runs, below a stride of ``_DENSE_STRIDE``, are read off one full mask
-of the period with a regex instead.
+of the period with a regex instead.  ``_runs`` is the one period loop both
+whole-word scans walk, each with its own L as a function of p.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from math import gcd
 
 from .words import Record, Word
 
@@ -169,6 +169,19 @@ def _agreement_runs(data: bytes, p: int, min_len: int):
         i = (b // q + 1) * q
 
 
+def _runs(data: bytes, need):
+    """Yield (p, a, b) for each maximal run [a, b) of period p with
+    b - a >= need(p), for p = 1, 2, ... until p + need(p) > len(data).
+
+    need(p) is read once, on reaching p; callers keep p + need(p) from
+    falling as p grows, so no later period can hold such a run."""
+    p = 1
+    while p + (k := need(p)) <= len(data):
+        for a, b in _agreement_runs(data, p, k):
+            yield p, a, b
+        p += 1
+
+
 def _normalize_threshold(threshold) -> Fraction:
     if isinstance(threshold, tuple):
         threshold = Fraction(*threshold)
@@ -187,25 +200,15 @@ def is_power_free(w: Word, threshold, strict: bool) -> RepetitionWitness | None:
     violating period and there at the leftmost minimal length.
     """
     t = _normalize_threshold(threshold)
-    n = len(w)
-    if n == 0:
-        return None
-    if not strict and t == 1:
-        return RepetitionWitness(0, 1, 1)
     num, den = t.numerator, t.denominator
-    data = w.letters
-    p = 1
-    while True:
-        if strict:
-            lmin = (num * p) // den + 1      # least l with l/p > t
-        else:
-            lmin = -((-num * p) // den)      # least l with l/p >= t
-        if lmin > n:
-            return None
-        run = next(_agreement_runs(data, p, lmin - p), None)
-        if run is not None:
-            return RepetitionWitness(run[0], lmin, p)
-        p += 1
+
+    def need(p):    # least l with l/p > t (l/p >= t if not strict), minus p;
+        # 0 at t = 1 not strict, where the first letter is the witness
+        return (num * p - (not strict)) // den + 1 - p
+
+    for p, a, _ in _runs(w.letters, need):
+        return RepetitionWitness(a, p + need(p), p)
+    return None
 
 
 def _suffix_52plus(buf) -> bool:
@@ -233,36 +236,21 @@ def suffix_is_52plus_power(w: Word) -> bool:
 def max_factor_exponent(w: Word) -> tuple[Exponent, RepetitionWitness]:
     """Maximum exponent over all nonempty factors, with one witness.
 
-    Ties are broken by smallest start index, then shortest length.  The
-    first pass finds the maximum value by probing, per period, whether a
-    long-enough agreement run exists to beat the current best; the second
-    pass revisits exactly the (length, period) pairs that realise the
-    maximum to apply the tie-break.
+    Ties are broken by smallest start index, then shortest length.  A
+    factor of maximal exponent is a whole maximal run (extending it by one
+    letter of its period would raise its exponent), so one pass over the
+    runs that at least tie the best so far finds the maximum and the
+    tie-break witness together.
     """
-    n = len(w)
-    if n == 0:
+    if not w:
         raise ValueError("the empty word has no factors")
-    data = w.letters
-    best_num, best_den = 1, 1
-    for p in range(1, n):
-        if n * best_den < best_num * p:
-            break                            # even a full-length run cannot beat best
-        need = (p * (best_num - best_den)) // best_den + 1
-        longest = max((b - a for a, b in _agreement_runs(data, p, need)),
-                      default=0)
-        if longest:
-            best_num, best_den = longest + p, p
-    if best_num == best_den:
-        return Exponent(1, 1), RepetitionWitness(0, 1, 1)
-    g = gcd(best_num, best_den)
-    a, b = best_num // g, best_den // g
-    candidates = []
-    m_ = 1
-    while a * m_ <= n and b * m_ <= n - 1:
-        length, p = a * m_, b * m_
-        hit = next(_agreement_runs(data, p, length - p), None)
-        if hit is not None:
-            candidates.append((hit[0], length, p))
-        m_ += 1
-    start, length, p = min(candidates, key=lambda c: (c[0], c[1]))
-    return Exponent(length, p), RepetitionWitness(start, length, p)
+    length, period, start = 1, 1, 0
+
+    def need(p):        # least run length whose factor ties length/period
+        return max(1, -((p * (period - length)) // period))
+
+    for p, a, b in _runs(w.letters, need):
+        span = b - a + p
+        if (span * period, -a, -span) > (length * p, -start, -length):
+            length, period, start = span, p, a
+    return Exponent(length, period), RepetitionWitness(start, length, period)

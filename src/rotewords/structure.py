@@ -42,9 +42,11 @@ runs the xyxyx search once, however many violations it forgives.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import accumulate
 
 from .morphisms import Morphism, named
 from .properness import Violation, forgiving_scan
@@ -369,7 +371,9 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
     ``min_length`` exceeds ``limit`` or when a word of the first build
     (the depth-fold image of the 4-letter seed prefix, then g of it)
     would; their lengths follow from the seed prefix's letter counts.
-    Later builds, from longer seed prefixes, are not held to the limit.
+    The word is then built once, from the shortest fixed-point prefix whose
+    letters' images g(inner^depth(a)) reach ``min_length`` letters, so no
+    image built passes ``min_length`` by a whole letter image.
     """
     tag = CaseTag(case) if not isinstance(case, CaseTag) else case
     if depth < 0:
@@ -381,12 +385,11 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
         inner, seed = named("f"), 0
     else:
         inner, seed = named("h"), 1
-    seed_length = 4
     if limit is not None:
         if min_length > limit:
             raise LengthLimitError(
                 f"generate length {min_length} exceeds the limit {limit}")
-        counts = parikh(inner.iterate_prefix(seed, seed_length))
+        counts = parikh(inner.iterate_prefix(seed, 4))
         for k in range(depth + 1):
             m = inner if k < depth else g
             counts = [sum(c * img.letters.count(b)
@@ -396,15 +399,15 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
                 raise LengthLimitError(
                     f"generate depth {depth} builds a word of {sum(counts)} "
                     f"letters, which exceeds the limit {limit}")
-    while True:
-        base = inner.iterate_prefix(seed, seed_length)
-        for _ in range(depth):
-            base = inner.apply(base)
-        out = g.apply(base)
-        if len(out) >= min_length:
-            break
-        seed_length *= 2
-    out = out[:min_length]
+    lengths = [len(img) for img in g.images]    # |g inner^k (a)|, k = 0..depth
+    for _ in range(depth):
+        lengths = [sum(lengths[b] for b in img.letters) for img in inner.images]
+    prefix = inner.iterate_prefix(seed, -(-min_length // min(lengths)))
+    ends = list(accumulate(lengths[b] for b in prefix.letters))
+    base = prefix[:bisect_left(ends, min_length) + 1]   # shortest that reaches
+    for _ in range(depth):
+        base = inner.apply(base)
+    out = g.apply(base)[:min_length]
     if tag in (CaseTag.FBAR, CaseTag.FBARREV):
         out = complement(out)
     return out

@@ -55,6 +55,20 @@ def brute_max_exponent(data: bytes):
     return best[1], best[2]
 
 
+def brute_best_run(data: bytes):
+    """(length, period, start) of the highest-exponent factor that is a
+    whole maximal run data[a:b+p] of some period p, smallest start then
+    shortest length first; (1, 1, 0) when no letter repeats at any
+    period."""
+    best = (Fraction(-1), 0, 1, 1)
+    for p in range(1, len(data)):
+        for a, b in brute_agreement_runs(data, p, 1):
+            length = b - a + p
+            best = min(best, (-Fraction(length, p), a, length, p))
+    _, start, length, period = best
+    return length, period, start
+
+
 def brute_suffix_has_52plus(data: bytes) -> bool:
     n = len(data)
     for start in range(n):
@@ -181,3 +195,13 @@ def brute_decode(m, w):
 
     search(dropped, [])
     return best
+
+
+def brute_fixed_point_prefix(m, seed: int, n: int) -> bytes:
+    """The first n letters of m's fixed point from ``seed``: the image of
+    the whole previous iterate, taken until it has n letters."""
+    images = [img.letters for img in m.images]
+    current = images[seed]
+    while len(current) < n:
+        current = b"".join(images[c] for c in current)
+    return current[:n]

@@ -199,7 +199,7 @@ def test_generate_refuses_before_building(capsys, case, argv, length):
 @pytest.mark.parametrize("case, depth, length, limit", [
     ("F", 7, 100, 20000),         # the first build has 19423 letters
     ("FbarRev", 7, 100, 20000),
-    ("Frev", 4, 20000, 20000),    # later builds may pass the limit
+    ("Frev", 4, 20000, 20000),    # the build may pass the limit by an image
     ("F", 1, 20, 23),             # a first build of exactly the limit
 ])
 def test_generate_admits_builds_within_the_limit(capsys, case, depth, length,
@@ -209,6 +209,33 @@ def test_generate_admits_builds_within_the_limit(capsys, case, depth, length,
                        str(limit))
     assert code == 0
     assert len(out.strip()) == length
+
+
+@pytest.mark.parametrize("case", ["F", "Frev"])
+@pytest.mark.parametrize("depth", range(5))
+@pytest.mark.parametrize("length", [19999, 20000])
+def test_generate_builds_within_one_letter_image_of_the_length(capsys, case,
+                                                                depth, length):
+    inner = named("f" if case == "F" else "h")
+    letter_images = named("g")
+    for _ in range(depth):
+        letter_images = letter_images.compose(inner)
+    longest = max(len(img) for img in letter_images.images)
+    sizes = []
+    real_apply = Morphism.apply
+
+    def apply(self, w):
+        image = real_apply(self, w)
+        sizes.append(len(image))
+        return image
+
+    with mock.patch.object(Morphism, "apply", apply):
+        code, out, _ = run(capsys, "generate", "--case", case, "--depth",
+                           str(depth), "--length", str(length))
+    assert code == 0
+    assert len(out.strip()) == length
+    assert len(sizes) == depth + 1
+    assert max(sizes) <= length + longest - 1
 
 
 def test_generate_negative_length_is_usage_error(capsys):
@@ -279,6 +306,39 @@ def test_complexity_admits_max_n_equal_to_the_limit(capsys):
                        "--max-n", "100", "--limit", "100", "--safety", "0")
     assert code == 0
     assert out.splitlines()[-1] == "n=100: 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--forbidden", "0110", "--target", "200", "--limit", "5"],
+    ["search", "--forbidden", "0110", "--limit", "199"],
+    ["verify-paper", "--target", "21", "--limit", "20"],
+    ["verify-paper", "--limit", "199"],
+], ids=["search", "search-default-target", "verify-paper",
+        "verify-paper-default-target"])
+def test_target_over_the_limit_refuses_before_searching(capsys, argv):
+    with mock.patch("rotewords.cli.longest_avoiding",
+                    side_effect=AssertionError("searched")) as search, \
+            mock.patch("rotewords.cli.run_reference_table",
+                       side_effect=AssertionError("searched")) as table:
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    target = argv[argv.index("--target") + 1] if "--target" in argv else "200"
+    assert f"--target {target} exceeds --limit {argv[-1]}" in err
+    search.assert_not_called()
+    table.assert_not_called()
+
+
+def test_target_equal_to_the_limit_is_admitted(tmp_path, capsys):
+    code, out, _ = run(capsys, "search", "--forbidden", "0110", "--target",
+                       "14", "--limit", "14")
+    assert code == 0
+    assert "reached_target: True" in out
+    table = tmp_path / "rows.json"
+    table.write_text(json.dumps([[["0110"], 14]]))
+    code, out, _ = run(capsys, "verify-paper", "--expected-table", str(table),
+                       "--target", "20", "--limit", "20")
+    assert code == 0
+    assert "all ok" in out
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -499,4 +559,17 @@ COMPLEXITY_GOLDEN = json.loads(
 @pytest.mark.parametrize("entry", COMPLEXITY_GOLDEN,
                          ids=[" ".join(e["argv"]) for e in COMPLEXITY_GOLDEN])
 def test_complexity_stdout_is_pinned(capsys, entry):
+    test_cli_stdout_is_unchanged(capsys, entry)
+
+
+# Plain stdout, --json stdout without elapsed_ms, and exit codes of
+# generate over the four cases, depths 0..7 and lengths 1, 50, 4000 and
+# 20000, captured while generate still built by doubling its seed prefix.
+GENERATE_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "generate_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GENERATE_GOLDEN,
+                         ids=[" ".join(e["argv"]) for e in GENERATE_GOLDEN])
+def test_generate_stdout_is_pinned(capsys, entry):
     test_cli_stdout_is_unchanged(capsys, entry)

@@ -22,8 +22,8 @@ from rotewords import (FORBIDDEN_FACTORS, DecodeError, Word,
 from rotewords import repetitions, structure
 from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs
 
-from oracles import (brute_agreement_runs, brute_avoids, brute_decode,
-                     brute_dominated_xyxyx, brute_factor_count,
+from oracles import (brute_agreement_runs, brute_avoids, brute_best_run,
+                     brute_decode, brute_dominated_xyxyx, brute_factor_count,
                      brute_max_exponent, brute_report, brute_smallest_period)
 
 CROSSOVER = 2 * _DENSE_STRIDE - 1      # least min_len that is sampled
@@ -106,6 +106,41 @@ def test_max_factor_exponent_matches_brute_force(data, dense):
     with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
         e, witness = max_factor_exponent(Word(data, 3))
     assert e.value == value
+    assert (witness.start, witness.length, witness.period) \
+        == (start, length, period)
+
+
+@st.composite
+def tied(draw):
+    """Filler and stretches that tie in exponent: num/den at periods den*m
+    for several m, and squares xx where x begins with a square, so that a
+    run of period 1 to 3 and one of period |x| share a start and a value."""
+    k = draw(st.sampled_from([2, 3]))
+    den = draw(st.integers(1, 4))
+    num = draw(st.integers(den + 1, 3 * den))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        pieces.append(draw(letters(k, max_size=30)))
+        if draw(st.booleans()):
+            m = draw(st.integers(1, 40 // den))
+            base = draw(letters(k, den * m, den * m))
+            pieces.append((base * (num // den + 1))[:num * m])
+        else:
+            x = draw(letters(k, 1, 3)) * 2 + draw(letters(k, 0, 20))
+            pieces.append(x * 2)
+    return b"".join(pieces)[:300]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(tied(), planted().map(lambda case: case[0]),
+                 letters(2, 1, 300), letters(3, 1, 300)), stride)
+@example(bytes([0, 0, 1, 0, 0, 1]), _DENSE_STRIDE)    # 2/1 twice at start 0
+@example(bytes([0, 1, 1, 0, 1, 0, 0, 1]), _DENSE_STRIDE)  # 2/1 and 4/2 tie
+def test_max_factor_exponent_matches_best_run(data, dense):
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        e, witness = max_factor_exponent(Word(data, 3))
+    length, period, start = brute_best_run(data)
+    assert (e.length, e.period) == (length, period)
     assert (witness.start, witness.length, witness.period) \
         == (start, length, period)
 

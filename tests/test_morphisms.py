@@ -5,6 +5,8 @@ import pytest
 from rotewords import (AlphabetError, Morphism, Word, equal_on_letters,
                        named, parikh, parse_morphism, parse_word, reverse)
 
+from oracles import brute_fixed_point_prefix
+
 
 def w3(text):
     return parse_word(text, 3)
@@ -85,6 +87,16 @@ def test_iterate_prefix_stability():
     long = theta.iterate_prefix(0, 400)
     for n in (1, 2, 7, 50, 399):
         assert theta.iterate_prefix(0, n) == long[:n]
+
+
+@pytest.mark.parametrize("name, seed", [("f", 0), ("h", 1), ("theta", 0),
+                                        ("mu", 0)])
+def test_iterate_prefix_matches_whole_iterates(name, seed):
+    m = named(name)
+    for n in [*range(301), 20000]:
+        prefix = m.iterate_prefix(seed, n)
+        assert prefix.letters == brute_fixed_point_prefix(m, seed, n)
+        assert prefix.alphabet_size == m.source_alphabet
 
 
 def test_apply_compose_consistency():

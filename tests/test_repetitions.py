@@ -1,11 +1,14 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rotewords import (Exponent, Word, complement, exponent, is_power_free,
                        max_factor_exponent, named, parse_word, reverse,
                        smallest_period, suffix_is_52plus_power)
+from rotewords.cli import parse_source
 
 from oracles import (all_words, brute_avoids, brute_max_exponent,
                      brute_smallest_period, brute_suffix_has_52plus)
@@ -155,3 +158,27 @@ def test_theta_fixed_point_exponent_bracket():
     prefix = named("theta").iterate_prefix(0, 2000)
     e, _ = max_factor_exponent(prefix)
     assert Fraction(12, 5) <= e.value < Fraction(24808628, 10**7)
+
+
+# Witnesses of max_factor_exponent and is_power_free on fixed windows of
+# g(f^w), its reversed complement, Thue-Morse, theta^w and h^w, captured
+# while max_factor_exponent still made a second pass for its tie-break.
+PINNED = json.loads((Path(__file__).parent / "data"
+                     / "repetitions_pinned.json").read_text())
+
+
+@pytest.mark.parametrize("entry", PINNED, ids=[
+    f"{e['source']}{'-rev' if e['reverse'] else ''}@{e['start']}+{e['length']}"
+    for e in PINNED])
+def test_witnesses_are_pinned(entry):
+    w = parse_source(entry["source"])
+    if entry["reverse"]:
+        w = reverse(w)
+    w = w[entry["start"]:entry["start"] + entry["length"]]
+    e, witness = max_factor_exponent(w)
+    assert [e.length, e.period, witness.start, witness.length,
+            witness.period] == entry["max_factor_exponent"]
+    for key, expected in entry["is_power_free"].items():
+        found = is_power_free(w, Fraction(key.rstrip("+")), key.endswith("+"))
+        assert (None if found is None
+                else [found.start, found.length, found.period]) == expected
