@@ -7,6 +7,17 @@ suffixes at each extension is equivalent to checking the whole word, and
 the first word reaching any given length is the lexicographically least
 word of that length satisfying the predicate.
 
+The suffix test is a few whole-int operations per node.  For each prefix
+on the current path, one int holds in lane p (``width`` bits at bit
+``width * (p - 1)``) the trailing agreement run r_p: the number of final
+positions i with w[i] == w[i - p].  A suffix of period p has exponent
+above 5/2 exactly when r_p >= p + p // 2 + 1, and every lane is tested at
+once by adding ``top`` minus that bound and masking the lanes' top bits.
+Lanes exist only for the periods up to the deepest length reached, so a
+node costs time in the search's depth, not the target, and the runs kept
+for backtracking take about width * n**2 / 2 bits at depth n.
+``_lane_width`` makes every bound fit, so no lane ever overflows.
+
 ``REFERENCE_ROWS`` freezes the expected maxima for the searches the
 verification command recomputes; ``run_reference_table`` reruns them all
 and reports agreement row by row.
@@ -17,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .repetitions import _suffix_52plus
 from .words import AlphabetError, Record, Word, parse_word
 
 
@@ -41,6 +51,12 @@ def _as_factor_bytes(forbidden: Iterable[Word | str]) -> tuple[bytes, ...]:
     return tuple(out)
 
 
+def _lane_width(target: int) -> int:
+    """Bits per lane: the least b with p + p // 2 + 1 <= 2 ** (b - 1) for
+    every period p <= target, so no lane ever carries into the next."""
+    return (target + target // 2).bit_length() + 1
+
+
 def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> SearchOutcome:
     """Depth-first lexicographic search under the avoidance predicate.
 
@@ -52,38 +68,47 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
     if target < 0:
         raise ValueError("target must be non-negative")
     factors = _as_factor_bytes(forbidden)
-
+    width = _lane_width(target)
+    top = 1 << (width - 1)
+    lane = 2 * top - 1
+    # 1, top - (p + p // 2 + 1) and top in each lane p <= len(best), the
+    # deepest the search has been; at0 and at1 clear a node's lanes p > n
+    one = bias = high = 0
+    # for the prefix w[:n]: runs[n] holds r_p in lane p, and lane p of
+    # at0 (at1) is all ones iff w[n - p] == 0 (1)
+    runs = [0]
+    at0 = at1 = 0
     w = bytearray()
-    best_len = 0
     best = b""
-    nodes = 0
-
-    def good() -> bool:
+    nodes = 1                   # the empty word
+    reached = target == 0
+    c = 0
+    while not reached:
         n = len(w)
-        for f in factors:
-            k = len(f)
-            if n >= k and w[-k:] == f:
-                return False
-        return not _suffix_52plus(w)
-
-    reached = False
-    while len(w) <= target:
         nodes += 1
-        if good():
-            if len(w) > best_len:
-                best_len = len(w)
-                best = bytes(w)
-            if len(w) == target:
-                reached = True
+        r = (runs[n] + one) & (at1 if c else at0)
+        w.append(c)
+        if w.endswith(factors) or (r + bias) & high:
+            w.pop()
+            while c and w:      # both letters failed: back up past the 1s
+                c = w.pop()
+                del runs[-1]
+                at0, at1 = at0 >> width, at1 >> width
+            if c:
                 break
-            w.append(0)
-        else:
-            while w and w[-1] == 1:
-                w.pop()
-            if not w:
-                break
-            w[-1] = 1
-    return SearchOutcome(best_len, Word(best, 2), reached, nodes)
+            c = 1
+            continue
+        if n + 1 > len(best):
+            best = bytes(w)
+            p, shift = n + 1, width * n
+            one |= 1 << shift
+            bias |= (top - p - p // 2 - 1) << shift
+            high |= top << shift
+        reached = n + 1 == target
+        runs.append(r)
+        at0, at1 = at0 << width | lane * (1 - c), at1 << width | lane * c
+        c = 0
+    return SearchOutcome(len(best), Word(best, 2), reached, nodes)
 
 
 def _reference_rows() -> tuple[tuple[tuple[str, ...], int], ...]:

@@ -1,13 +1,18 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here follows the definitions directly (enumerate, compare,
-count) and stays independent of the library's optimised code paths.
+count) and stays independent of the library's optimised code paths.  The
+one exception, ``brute_longest_avoiding``, checks its nodes with the
+library's ``_suffix_52plus``, which the repetition tests compare with
+``brute_suffix_has_52plus`` on every binary word of up to 14 letters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from rotewords.repetitions import _suffix_52plus
 
 
 def all_words(alphabet_size: int, max_len: int, min_len: int = 0):
@@ -205,3 +210,41 @@ def brute_fixed_point_prefix(m, seed: int, n: int) -> bytes:
     while len(current) < n:
         current = b"".join(images[c] for c in current)
     return current[:n]
+
+
+def brute_longest_avoiding(forbidden: list[bytes], target: int):
+    """The search as a plain loop over a bytearray: every node checks each
+    forbidden factor by slicing and its 5/2+ suffixes period by period.
+    Returns (max_length, witness letters, reached_target, nodes_explored),
+    the fields of ``SearchOutcome``."""
+    w = bytearray()
+    best_len = 0
+    best = b""
+    nodes = 0
+
+    def good() -> bool:
+        n = len(w)
+        for f in forbidden:
+            k = len(f)
+            if n >= k and w[-k:] == f:
+                return False
+        return not _suffix_52plus(w)
+
+    reached = False
+    while len(w) <= target:
+        nodes += 1
+        if good():
+            if len(w) > best_len:
+                best_len = len(w)
+                best = bytes(w)
+            if len(w) == target:
+                reached = True
+                break
+            w.append(0)
+        else:
+            while w and w[-1] == 1:
+                w.pop()
+            if not w:
+                break
+            w[-1] = 1
+    return best_len, best, reached, nodes

@@ -573,3 +573,17 @@ GENERATE_GOLDEN = json.loads(
                          ids=[" ".join(e["argv"]) for e in GENERATE_GOLDEN])
 def test_generate_stdout_is_pinned(capsys, entry):
     test_cli_stdout_is_unchanged(capsys, entry)
+
+
+# Plain stdout, --json stdout without elapsed_ms, and exit codes of the
+# four census table rows, two deep searches that reach their target, an
+# empty target and a target over the limit, captured while each node still
+# checked its suffixes period by period.
+SEARCH_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "search_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("entry", SEARCH_GOLDEN,
+                         ids=[" ".join(e["argv"]) for e in SEARCH_GOLDEN])
+def test_search_stdout_is_pinned(capsys, entry):
+    test_cli_stdout_is_unchanged(capsys, entry)

@@ -1,0 +1,53 @@
+"""The search's lane arithmetic against the node-by-node search loop kept
+in ``oracles.brute_longest_avoiding``, and the lane width rule."""
+
+import time
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rotewords import longest_avoiding
+from rotewords.search import _lane_width
+
+from oracles import brute_longest_avoiding
+
+
+def outcome_fields(forbidden, target):
+    o = longest_avoiding(forbidden, target)
+    return o.max_length, o.witness.letters, o.reached_target, o.nodes_explored
+
+
+factors = st.lists(st.text("01", min_size=1, max_size=9), max_size=3)
+
+
+@example(["0101", "1010", "10110010"], 150)
+@example([], 0)
+@settings(max_examples=300, deadline=None)
+@given(factors, st.integers(0, 150))
+def test_search_matches_the_node_by_node_loop(forbidden, target):
+    assert outcome_fields(forbidden, target) == brute_longest_avoiding(
+        [bytes(int(c) for c in f) for f in forbidden], target)
+
+
+@example(400)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 400))
+def test_search_without_factors_matches_the_node_by_node_loop(target):
+    assert outcome_fields([], target) == brute_longest_avoiding([], target)
+
+
+def test_cost_follows_depth_not_target():
+    start = time.perf_counter()
+    assert outcome_fields(["0"], 10**6) == (2, b"\x01\x01", False, 7)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_lane_width_fits_every_bound():
+    # every bound p + p // 2 + 1 up to the target is at most
+    # 2 ** (width - 1), and one bit less would not do
+    assert _lane_width(21844) == _lane_width(21845) == 16
+    assert _lane_width(21846) == 17
+    for target in range(1, 3000):
+        width = _lane_width(target)
+        assert target + target // 2 + 1 <= 2 ** (width - 1)
+        assert target + target // 2 + 1 > 2 ** (width - 2)
