@@ -147,7 +147,16 @@ def _cmd_verify_paper(args) -> Outcome:
     rows = None
     if args.expected_table:
         with open(args.expected_table, "r", encoding="ascii") as fh:
-            rows = [(tuple(fb), int(expected)) for fb, expected in json.load(fh)]
+            table = json.load(fh)
+        # a table that is not a list is refused as one malformed row
+        for row in table if isinstance(table, list) else [table]:
+            if not (isinstance(row, list) and len(row) == 2
+                    and isinstance(row[0], list)
+                    and all(isinstance(f, str) for f in row[0])
+                    and type(row[1]) is int):   # bool and float are refused
+                raise SourceError(f"--expected-table row {json.dumps(row)} "
+                                  "is not [[factor strings...], int]")
+        rows = [(tuple(fb), expected) for fb, expected in table]
     checks, lines = [], []
 
     def check(payload: dict, line: str) -> None:

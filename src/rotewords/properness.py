@@ -9,11 +9,9 @@ A dominated occurrence with |x| = x_len and |y| = y_len is exactly a run
 of x_len + y_len + x_len consecutive agreements at distance p = x_len +
 y_len, and dominance forces x_len > y_len, so every occurrence sits inside
 an agreement run of length at least p + p//2 + 1.  The detector therefore
-first collects, per period, the agreement runs long enough to host an
-occurrence, with the sampled scan of ``repetitions._agreement_runs``
-(about 4n/3p window probes at period p, so O(n log n) in all); words
-whose factors all have exponent at most 5/2 produce no candidates at all
-and are dismissed in this first phase.  Only the surviving stretches are
+first collects the runs of exponent above 5/2, from ``repetitions._runs``;
+words whose factors all have exponent at most 5/2 produce no candidates at
+all and are dismissed in this first phase.  Only the surviving stretches are
 enumerated, in tie-break order, with O(1) Parikh comparisons against
 prefix counts.
 
@@ -31,7 +29,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .repetitions import _agreement_runs
+from .repetitions import _runs
 from .words import AlphabetError, LengthLimitError, Record, Word
 
 FORBIDDEN_FACTORS = (
@@ -83,30 +81,21 @@ def _guard(u: Word, max_length: int | None) -> None:
 def _xyxyx_search(data: bytes, k: int):
     """Phase 1 of the xyxyx search, and the means for phase 2.
 
-    Returns None when no agreement run in ``data`` can host an occurrence.
-    Otherwise returns an iterator over every candidate (s, x, y) - a factor
-    of shape xyxyx with x > y - in tie-break order, and a test of whether a
-    candidate's x-piece strictly Parikh-dominates its y-piece.
+    Returns an iterator over every candidate (s, x, y) - a factor of shape
+    xyxyx with x > y - in tie-break order, and a test of whether a
+    candidate's x-piece strictly Parikh-dominates its y-piece; ``((), None)``,
+    with no prefix counts built, when no run in ``data`` can host one.
     """
-    n = len(data)
-    # Phase 1: per period p, agreement runs of length >= p + x_min where
+    # Phase 1: per period p, the runs of length >= p + x_min, where
     # x_min = p//2 + 1 is the least x with x > y.
-    stretches = []
-    p = 1
-    while 2 * p + p // 2 + 1 <= n:
-        need = p + p // 2 + 1
-        for a, b in _agreement_runs(data, p, need):
-            stretches.append((p, a, b))
-        p += 1
+    stretches = list(_runs(data, lambda p: p + p // 2 + 1))
     if not stretches:
-        return None
+        return (), None
 
     def candidates(p: int, a: int, b: int):
         x_min = p // 2 + 1
-        need = p + x_min
-        for s in range(a, b - need + 1):
-            x_max = min(p, (b - s) - p)
-            for x in range(x_min, x_max + 1):
+        for s in range(a, b - p - x_min + 1):
+            for x in range(x_min, min(p, (b - s) - p) + 1):
                 yield (s, x, p - x)
 
     # Phase 2: dominance tests against prefix letter counts.
@@ -132,12 +121,10 @@ def find_dominated_xyxyx(u: Word, *,
     y length.  y may be empty; x may not.
     """
     _guard(u, max_length)
-    search = _xyxyx_search(u.letters, u.alphabet_size)
-    if search is not None:
-        candidates, dominated = search
-        for s, x, y in candidates:
-            if dominated(s, x, y):
-                return XyxyxOccurrence(s, x, y)
+    candidates, dominated = _xyxyx_search(u.letters, u.alphabet_size)
+    for s, x, y in candidates:
+        if dominated(s, x, y):
+            return XyxyxOccurrence(s, x, y)
     return None
 
 
@@ -188,17 +175,16 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
             heapq.heapreplace(heap, (pos, length, pat))
 
     offset = trim
-    search = _xyxyx_search(data[:n - trim] if mirrored else data[trim:], 3)
-    if search is not None:
-        candidates, dominated = search
-        for s, x, y in candidates:
-            start = n - s - 3 * x - 2 * y if mirrored else offset + s
-            if start < trim or not dominated(s, x, y):
-                continue
-            if start >= trim_bound:
-                return trim, Violation("xyxyx", start,
-                                       XyxyxOccurrence(start, x, y))
-            trim = start + 1
+    candidates, dominated = _xyxyx_search(
+        data[:n - trim] if mirrored else data[trim:], 3)
+    for s, x, y in candidates:
+        start = n - s - 3 * x - 2 * y if mirrored else offset + s
+        if start < trim or not dominated(s, x, y):
+            continue
+        if start >= trim_bound:
+            return trim, Violation("xyxyx", start,
+                                   XyxyxOccurrence(start, x, y))
+        trim = start + 1
     return trim, None
 
 

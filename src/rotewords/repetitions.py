@@ -20,8 +20,8 @@ a hit is extended to its maximal ends with a local mismatch mask (XOR of
 the two shifted byte strings as big integers, zero bytes marking
 agreement).  That is about 2n/L probes per period, O(n log n) in all.
 Short runs, below a stride of ``_DENSE_STRIDE``, are read off one full mask
-of the period with a regex instead.  ``_runs`` is the one period loop both
-whole-word scans walk, each with its own L as a function of p.
+of the period with a regex instead.  ``_runs`` is the one period loop every
+whole-word scan walks, each with its own L as a function of p.
 """
 
 from __future__ import annotations

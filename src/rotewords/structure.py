@@ -50,8 +50,8 @@ from itertools import accumulate
 
 from .morphisms import Morphism, named
 from .properness import Violation, forgiving_scan
-from .words import (AlphabetError, LengthLimitError, Record, Word, _json,
-                    complement, factors_of_length, parikh)
+from .words import (AlphabetError, LengthLimitError, Record, Word, _FLIP,
+                    _json, complement, factors_of_length, parikh, parse_word)
 
 
 class CaseTag(Enum):
@@ -64,18 +64,13 @@ class CaseTag(Enum):
 _BASE_FACTORS = ("0110", "1001", "0011", "1100", "0010", "0100", "1101", "1010")
 
 
-def _factor_bytes(text: str) -> bytes:
-    return bytes(int(c) for c in text)
-
-
 def _build_factor_sets() -> dict[CaseTag, frozenset[bytes]]:
-    base = frozenset(_factor_bytes(t) for t in _BASE_FACTORS)
-    flip = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+    base = frozenset(parse_word(t, 2).letters for t in _BASE_FACTORS)
     return {
         CaseTag.F: base,
-        CaseTag.FBAR: frozenset(b.translate(flip) for b in base),
+        CaseTag.FBAR: frozenset(b.translate(_FLIP) for b in base),
         CaseTag.FREV: frozenset(b[::-1] for b in base),
-        CaseTag.FBARREV: frozenset(b[::-1].translate(flip) for b in base),
+        CaseTag.FBARREV: frozenset(b[::-1].translate(_FLIP) for b in base),
     }
 
 

@@ -85,6 +85,40 @@ def test_verify_paper_json_lines(tmp_path, capsys):
     assert all(line["match"] for line in lines[:-1])
 
 
+@pytest.mark.parametrize("table", [
+    [[5, 14]],                  # no factor list
+    [[["0110"], None]],         # no expected length
+    [[[0, 1, 1, 0], 14]],       # factors as numbers
+    [["0110", 14]],             # a bare string, not a list of factors
+    [[["0110"], 14.7]],         # a fractional expected length
+], ids=["number", "null", "digits", "string", "float"])
+def test_verify_paper_refuses_malformed_rows(tmp_path, capsys, table):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([[["1011", "1010"], 20], *table]))
+    code, out, err = run(capsys, "verify-paper", "--expected-table", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"row {json.dumps(table[0])} is not" in err
+
+
+def test_verify_paper_refuses_a_table_that_is_not_a_list(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"0110": 14}))
+    code, out, err = run(capsys, "verify-paper", "--expected-table", str(path))
+    assert code == 2
+    assert 'row {"0110": 14} is not' in err
+
+
+def test_verify_paper_admits_a_row_without_factors(tmp_path, capsys):
+    # nothing bounds the search but --target, so the row reads as a mismatch
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps([[[], 30]]))
+    code, out, _ = run(capsys, "verify-paper", "--expected-table", str(path),
+                       "--target", "30")
+    assert code == 1
+    assert "search {}: expected 30 computed 30 MISMATCH" in out
+
+
 def test_classify_from_file(tmp_path, capsys):
     path = tmp_path / "word.txt"
     path.write_text("0110010011010011\n")

@@ -145,19 +145,32 @@ def test_max_factor_exponent_matches_best_run(data, dense):
         == (start, length, period)
 
 
-@settings(max_examples=200, deadline=None)
-@given(letters(3, 0, 24), stride)
-def test_find_dominated_xyxyx_matches_brute_force(data, dense):
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
-        occ = find_dominated_xyxyx(Word(data, 3))
-    got = None if occ is None else (occ.start, occ.x_length, occ.y_length)
-    assert got == brute_dominated_xyxyx(data)
-
-
 # a periodic stretch, then a few letters that may break the period
 periodic = st.builds(lambda base, n, tail: (base * n)[:n] + tail,
                      st.sampled_from([b"\0\1", b"\0\1\0", b"\0\1\2\1"]),
                      st.integers(1, 120), letters(3, 0, 3))
+
+
+@st.composite
+def periodic_over(draw):
+    """A periodic word, its letters shifted cyclically over 3 or 4 letters,
+    with that alphabet size; its stretches reach periods of about 44, where
+    the default stride samples."""
+    k, shift = draw(st.sampled_from([3, 4])), draw(st.integers(0, 3))
+    return bytes((c + shift) % k for c in draw(periodic)), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sampled_from([2, 3, 4]).flatmap(
+        lambda k: st.tuples(letters(k, 0, 24), st.just(k))),
+    periodic_over()), stride)
+def test_find_dominated_xyxyx_matches_brute_force(case, dense):
+    data, k = case
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        occ = find_dominated_xyxyx(Word(data, k))
+    got = None if occ is None else (occ.start, occ.x_length, occ.y_length)
+    assert got == brute_dominated_xyxyx(data, k)
 
 
 @settings(max_examples=300, deadline=None)

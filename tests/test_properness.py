@@ -6,6 +6,7 @@ import pytest
 from rotewords import (AlphabetError, LengthLimitError, Word,
                        find_dominated_xyxyx, is_antiproper, is_power_free,
                        is_proper, named, parse_word, reverse)
+from rotewords import properness
 
 from oracles import all_words, brute_dominated_xyxyx, brute_proper
 
@@ -24,6 +25,12 @@ def test_find_examples():
     assert occ_tuple(find_dominated_xyxyx(w3("012101210121"))) == (0, 3, 1)
     assert occ_tuple(find_dominated_xyxyx(w3("2101021010210"))) == (0, 3, 2)
     assert find_dominated_xyxyx(w3("012")) is None
+
+
+def test_search_without_stretches_builds_no_counts():
+    # 012012 is a square, of exponent 2, so phase 1 finds no run that can
+    # host an occurrence and phase 2 is never set up
+    assert properness._xyxyx_search(bytes([0, 1, 2, 0, 1, 2]), 3) == ((), None)
 
 
 def test_find_matches_brute_force_exhaustively():

@@ -11,7 +11,7 @@ from rotewords import (CaseTag, ClassificationError, DecodeError,
                        factor_complexity, g_decode, generate_case_word,
                        h_decode, is_power_free, named, parse_word, reverse)
 
-from rotewords import properness, structure
+from rotewords import repetitions, structure
 from rotewords.repetitions import _agreement_runs
 
 from oracles import all_words
@@ -254,7 +254,7 @@ def test_report_builds_phase_one_once(front, chain, seed, mirrored, trim):
         periods[p] += 1
         return _agreement_runs(data, p, min_len)
 
-    with mock.patch.object(properness, "_agreement_runs", counting):
+    with mock.patch.object(repetitions, "_agreement_runs", counting):
         report = structure._report(level, mirrored, 64, None)
     assert report.trim == trim
     assert len(periods) > 1000
