@@ -14,16 +14,16 @@ from .repetitions import (Exponent, RepetitionWitness, smallest_period,
                           max_factor_exponent)
 from .morphisms import (Morphism, NAMED_MORPHISMS, named, equal_on_letters,
                         parse_morphism)
-from .properness import (FORBIDDEN_FACTORS, Violation, XyxyxOccurrence,
-                         find_dominated_xyxyx, forgiving_scan, is_proper,
-                         is_antiproper)
+from .properness import (FORBIDDEN_FACTORS, PropernessReport, Violation,
+                         XyxyxOccurrence, find_dominated_xyxyx,
+                         forgiving_scan, is_proper, is_antiproper)
 from .search import (REFERENCE_ROWS, SearchOutcome, TableRow,
                      longest_avoiding, run_reference_table)
 from .structure import (CaseTag, ClassificationError, DecodeError,
                         DecodeResult, DecompositionCertificate,
                         DecompositionError, FactorClass, FACTOR_SETS,
-                        LevelRecord, PropernessReport, classify_by_length4,
-                        decode, decompose, f_decode, g_decode,
-                        generate_case_word, h_decode)
+                        LevelRecord, classify_by_length4, decode,
+                        decompose, f_decode, g_decode, generate_case_word,
+                        h_decode)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -46,7 +46,6 @@ class Morphism:
         """Build from digit strings; target alphabet inferred if omitted."""
         if target_alphabet is None:
             target_alphabet = max((int(c) for s in images for c in s), default=0) + 1
-            target_alphabet = max(target_alphabet, 1)
         imgs = tuple(parse_word(s, target_alphabet) for s in images)
         return cls(len(images), target_alphabet, imgs)
 

@@ -16,11 +16,13 @@ enumerated, in tie-break order, with O(1) Parikh comparisons against
 prefix counts.
 
 ``forgiving_scan`` is the one checker behind ``is_proper``,
-``is_antiproper`` and the decomposition reports.  It forgives the
-violations that start before a bound and reports the first one after it,
-walking the forbidden-factor occurrences lazily and running the xyxyx
-search once on what is left, instead of re-checking the remaining suffix
-after each forgiven violation.
+``is_antiproper`` and the decomposition reports, and returns the
+``PropernessReport`` itself.  It forgives the violations that start before
+a bound and reports the first one after it, walking the forbidden-factor
+occurrences lazily and running the xyxyx search once on what is left,
+instead of re-checking the remaining suffix after each forgiven violation.
+The length guard sits only on the three whole-word entry points,
+``is_proper``, ``is_antiproper`` and ``find_dominated_xyxyx``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,30 @@ class Violation(Record):
     detail: object
 
 
+@dataclass(frozen=True)
+class PropernessReport(Record):
+    """One-sided properness evidence on a finite level word.
+
+    Structure is only promised for a final segment, so violations that
+    start before the front-trim bound are forgiven.  ``trim`` is one past
+    the start of the last one forgiven (0 when none was), and the level
+    word from there on, ``checked_length`` letters, is what the report
+    covers.  ``violation`` is the first violation of that segment, which
+    starts at or after the bound, or None when the segment is clean;
+    positions are in the level word's own coordinates.  The result equals
+    re-running the checker on the segment after each forgiveness, but
+    comes from one scan.
+    """
+
+    checked_length: int
+    trim: int
+    violation: Violation | None
+
+    @property
+    def clean(self) -> bool:
+        return self.violation is None
+
+
 def _guard(u: Word, max_length: int | None) -> None:
     if max_length is not None and len(u) > max_length:
         raise LengthLimitError(
@@ -104,10 +130,11 @@ def _xyxyx_search(data: bytes, k: int):
         marks = data.translate(bytes(c) + b"\1" + bytes(255 - c))  # 1 at c
         prefix.append(list(accumulate(marks, initial=0)))
 
+    # Every candidate has x >= p//2 + 1 > p - x = y, so the pieces never
+    # share a Parikh vector and componentwise >= is strict dominance.
     def dominated(s: int, x: int, y: int) -> bool:
-        cx = [row[s + x] - row[s] for row in prefix]
-        cy = [row[s + x + y] - row[s + x] for row in prefix]
-        return all(a >= b for a, b in zip(cx, cy)) and cx != cy
+        return all(row[s + x] - row[s] >= row[s + x + y] - row[s + x]
+                   for row in prefix)
 
     return heapq.merge(*(candidates(*st) for st in stretches)), dominated
 
@@ -128,20 +155,19 @@ def find_dominated_xyxyx(u: Word, *,
     return None
 
 
-def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
-                   max_length: int | None = DEFAULT_LENGTH_GUARD
-                   ) -> tuple[int, Violation | None]:
+def forgiving_scan(u: Word, trim_bound: int = 0, *,
+                   mirrored: bool = False) -> PropernessReport:
     """Check a final segment of u, forgiving violations near the front.
 
-    Returns ``(trim, violation)``.  ``violation`` is the first violation
-    of u[trim:] - of its properness, or with ``mirrored`` of its
-    antiproperness - which starts at or after ``trim_bound``, or None.
-    ``trim`` is one past the start of the last violation forgiven for
-    starting before the bound, or 0.  Positions are u's own.  The result
-    is what re-running is_proper (is_antiproper) on u[trim:] after each
-    forgiven violation gives, precedence and tie-breaks included, because
-    the violations of u[trim:] are exactly those of u that start at or
-    after trim.
+    Returns ``PropernessReport(len(u) - trim, trim, violation)``, with no
+    length guard.  ``violation`` is the first violation of u[trim:] - of
+    its properness, or with ``mirrored`` of its antiproperness - which
+    starts at or after ``trim_bound``, or None.  ``trim`` is one past the
+    start of the last violation forgiven for starting before the bound,
+    or 0.  Positions are u's own.  The result is what re-running is_proper
+    (is_antiproper) on u[trim:] after each forgiven violation gives,
+    precedence and tie-breaks included, because the violations of u[trim:]
+    are exactly those of u that start at or after trim.
 
     Forbidden-factor occurrences are taken lazily in checker order
     (position, then length, on u or on its reverse), each pattern's next
@@ -152,7 +178,6 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
     """
     if u.alphabet_size != 3:
         raise AlphabetError("properness is defined for ternary words")
-    _guard(u, max_length)
     n = len(u)
     data = u.letters[::-1] if mirrored else u.letters
     trim = 0
@@ -166,7 +191,8 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
         if start >= trim:
             if start >= trim_bound:
                 text = "".join(map(str, pat[::-1] if mirrored else pat))
-                return trim, Violation("forbidden_factor", start, text)
+                return PropernessReport(
+                    n - trim, trim, Violation("forbidden_factor", start, text))
             trim = start + 1
         pos = data.find(pat, pos + 1)
         if pos == -1:
@@ -182,10 +208,10 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
         if start < trim or not dominated(s, x, y):
             continue
         if start >= trim_bound:
-            return trim, Violation("xyxyx", start,
-                                   XyxyxOccurrence(start, x, y))
+            return PropernessReport(n - trim, trim, Violation(
+                "xyxyx", start, XyxyxOccurrence(start, x, y)))
         trim = start + 1
-    return trim, None
+    return PropernessReport(n - trim, trim, None)
 
 
 def is_proper(u: Word, *,
@@ -196,7 +222,8 @@ def is_proper(u: Word, *,
     among forbidden hits the earliest position wins, ties going to the
     shorter factor.
     """
-    return forgiving_scan(u, max_length=max_length)[1]
+    _guard(u, max_length)
+    return forgiving_scan(u).violation
 
 
 def is_antiproper(u: Word, *,
@@ -209,4 +236,5 @@ def is_antiproper(u: Word, *,
     to another xyxyx occurrence with the same piece lengths, so the mapped
     report is directly meaningful in u's coordinates.
     """
-    return forgiving_scan(u, mirrored=True, max_length=max_length)[1]
+    _guard(u, max_length)
+    return forgiving_scan(u, mirrored=True).violation

@@ -32,12 +32,12 @@ underlying infinite word, so reports tolerate violations near the front,
 and each level drops its last decoded letter when that letter's image is
 a proper prefix of another image ({1, 2} under g, {2} under f, none under
 h): its final block could be the cut-off start of a longer image, so it
-is not trustworthy evidence.  A report is one forgiving scan of the
-level word (``properness.forgiving_scan``): violations that start before
-the front-trim bound are forgiven, the recorded trim is one past the
-start of the last of them, and the first violation at or after the bound
-is reported.  The scan walks the forbidden-factor occurrences once and
-runs the xyxyx search once, however many violations it forgives.
+is not trustworthy evidence.  Each report is the one that
+``properness.forgiving_scan`` returns for the level word: violations that
+start before the front-trim bound are forgiven, the recorded trim is one
+past the start of the last of them, and the first violation at or after
+the bound is reported.  The scan walks the forbidden-factor occurrences
+once and runs the xyxyx search once, however many violations it forgives.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from functools import partial
 from itertools import accumulate
 
 from .morphisms import Morphism, named
-from .properness import Violation, forgiving_scan
+from .properness import PropernessReport, forgiving_scan
 from .words import (AlphabetError, LengthLimitError, Record, Word, _FLIP,
                     _json, complement, factors_of_length, parikh, parse_word)
 
@@ -228,43 +228,6 @@ def _tail_trim(m: Morphism, result: DecodeResult) -> int:
 
 
 @dataclass(frozen=True)
-class PropernessReport(Record):
-    """One-sided properness evidence on a finite level word.
-
-    Structure is only promised for a final segment, so violations that
-    start before the front-trim bound are forgiven.  ``trim`` is one past
-    the start of the last one forgiven (0 when none was), and the level
-    word from there on, ``checked_length`` letters, is what the report
-    covers.  ``violation`` is the first violation of that segment, which
-    starts at or after the bound, or None when the segment is clean;
-    positions are in the level word's own coordinates.  The result equals
-    re-running the checker on the segment after each forgiveness, but
-    comes from one scan.
-    """
-
-    checked_length: int
-    trim: int
-    violation: Violation | None
-
-    @property
-    def clean(self) -> bool:
-        return self.violation is None
-
-
-def _report(level_word: Word, mirrored: bool, trim_bound: int,
-            guard: int | None) -> PropernessReport:
-    """Properness (antiproperness when ``mirrored``) report of a level word.
-
-    One forgiving scan: violations that start before ``trim_bound`` are
-    forgiven and set ``trim`` to one past their start, and the first one
-    at or after the bound is reported (see properness.forgiving_scan).
-    """
-    trim, violation = forgiving_scan(level_word, trim_bound,
-                                     mirrored=mirrored, max_length=guard)
-    return PropernessReport(len(level_word) - trim, trim, violation)
-
-
-@dataclass(frozen=True)
 class LevelRecord(Record):
     """One decoding level: the morphism inverted, its result, and reports.
 
@@ -338,8 +301,8 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
         trim = _tail_trim(m, result)
         trimmed = (result.preimage[:len(result.preimage) - trim]
                    if trim else result.preimage)
-        proper = _report(trimmed, False, front_trim_bound, None)
-        anti = (_report(trimmed, True, front_trim_bound, None)
+        proper = forgiving_scan(trimmed, front_trim_bound)
+        anti = (forgiving_scan(trimmed, front_trim_bound, mirrored=True)
                 if chain == "h" else None)
         levels.append(LevelRecord(name, result, trim, proper, anti))
         return trimmed

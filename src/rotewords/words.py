@@ -109,8 +109,7 @@ def parse_word(text: str, alphabet_size: int) -> Word:
         data = text.encode("ascii").translate(_FROM_DIGITS)
         if max(data) < alphabet_size:
             return Word(data, alphabet_size)
-    # Slow path: find the first bad character for the error message.
-    out = bytearray()
+    # Slow path: find the first bad character; only the empty text has none.
     for i, ch in enumerate(text):
         if not "0" <= ch <= "9":
             raise ParseError(f"non-digit character {ch!r} at position {i}", i)
@@ -119,8 +118,7 @@ def parse_word(text: str, alphabet_size: int) -> Word:
             raise ParseError(
                 f"letter {d} at position {i} is outside the "
                 f"{alphabet_size}-letter alphabet", i)
-        out.append(d)
-    return Word(bytes(out), alphabet_size)
+    return Word(b"", alphabet_size)
 
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")

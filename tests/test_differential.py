@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from rotewords import (FORBIDDEN_FACTORS, DecodeError, Word,
                        complexity_profile, decode, find_dominated_xyxyx,
-                       is_power_free, max_factor_exponent, named,
-                       smallest_period)
-from rotewords import repetitions, structure
+                       forgiving_scan, is_power_free, max_factor_exponent,
+                       named, smallest_period)
+from rotewords import repetitions
 from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs
 
 from oracles import (brute_agreement_runs, brute_avoids, brute_best_run,
@@ -218,7 +218,7 @@ def report_tuple(report):
 def test_report_matches_rerun_loop(data, bound, mirrored, dense):
     bound = len(data) if bound is None else bound
     with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
-        report = structure._report(Word(data, 3), mirrored, bound, None)
+        report = forgiving_scan(Word(data, 3), bound, mirrored=mirrored)
     assert report_tuple(report) == brute_report(data, bound, mirrored)
     assert report.checked_length == len(data) - report.trim
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from rotewords import (AlphabetError, LengthLimitError, Word,
-                       find_dominated_xyxyx, is_antiproper, is_power_free,
-                       is_proper, named, parse_word, reverse)
+from rotewords import (AlphabetError, LengthLimitError, PropernessReport,
+                       Violation, Word, find_dominated_xyxyx, forgiving_scan,
+                       is_antiproper, is_power_free, is_proper, named,
+                       parse_word, reverse)
 from rotewords import properness
 
 from oracles import all_words, brute_dominated_xyxyx, brute_proper
@@ -155,5 +156,14 @@ def test_length_guard():
         find_dominated_xyxyx(long_word)
     with pytest.raises(LengthLimitError):
         is_proper(long_word, max_length=100)
+    with pytest.raises(LengthLimitError):
+        is_antiproper(long_word)
+    with pytest.raises(LengthLimitError):
+        is_antiproper(long_word, max_length=100)
     assert find_dominated_xyxyx(Word(bytes([0, 1] * 60), 3),
                                 max_length=None) is not None
+    # max_length=None lifts the guard; the forgiving scan behind the
+    # checkers and the decomposition reports has none
+    violation = Violation("forbidden_factor", 0, "00")
+    assert is_proper(long_word, max_length=None) == violation
+    assert forgiving_scan(long_word) == PropernessReport(20001, 0, violation)

@@ -8,10 +8,11 @@ import pytest
 from rotewords import (CaseTag, ClassificationError, DecodeError,
                        DecompositionError, FACTOR_SETS, LengthLimitError, Word,
                        classify_by_length4, complement, decompose, f_decode,
-                       factor_complexity, g_decode, generate_case_word,
-                       h_decode, is_power_free, named, parse_word, reverse)
+                       factor_complexity, forgiving_scan, g_decode,
+                       generate_case_word, h_decode, is_power_free, named,
+                       parse_word, reverse)
 
-from rotewords import repetitions, structure
+from rotewords import repetitions
 from rotewords.repetitions import _agreement_runs
 
 from oracles import all_words
@@ -255,7 +256,7 @@ def test_report_builds_phase_one_once(front, chain, seed, mirrored, trim):
         return _agreement_runs(data, p, min_len)
 
     with mock.patch.object(repetitions, "_agreement_runs", counting):
-        report = structure._report(level, mirrored, 64, None)
+        report = forgiving_scan(level, 64, mirrored=mirrored)
     assert report.trim == trim
     assert len(periods) > 1000
     assert set(periods.values()) == {1}
