@@ -182,7 +182,6 @@ def _cmd_verify_paper(args) -> Outcome:
 
     word2 = partial(parse_word, alphabet_size=2)
     word3 = partial(parse_word, alphabet_size=3)
-    threshold = Fraction(5, 2)
     power_checks = [
         ("000 is a 5/2+ power", word2("000"), None),
         ("g(2121) extended by 01", word2("01001001"),
@@ -197,7 +196,7 @@ def _cmd_verify_paper(args) -> Outcome:
         e = exponent(expected_word)
         check({"kind": "power", "name": name, "word": str(expected_word),
                "exponent": f"{e.length}/{e.period}",
-               "match": built_ok and e > threshold},
+               "match": built_ok and e > Fraction(5, 2)},
               f"power {name}: exponent {e.length}/{e.period}")
 
     all_ok = all(c["match"] for c in checks)
@@ -236,12 +235,9 @@ def _cmd_decode(args) -> Outcome:
     m = named(args.morphism)
     _grammar(m)     # refuse a morphism without a marker before building w
     w = _load_input(args, m.target_alphabet)
-    result = decode(m, w)
-    return Outcome({"morphism": args.morphism, "length": len(w)},
-                   result.to_json(), [
-                       f"preimage: {result.preimage}",
-                       f"dropped_prefix: {result.dropped_prefix}",
-                       f"truncated_suffix: {result.truncated_suffix}"])
+    result = decode(m, w).to_json()
+    return Outcome({"morphism": args.morphism, "length": len(w)}, result,
+                   [f"{key}: {value}" for key, value in result.items()])
 
 
 def _verdict(rep) -> str:
@@ -283,25 +279,21 @@ def _cmd_complexity(args) -> Outcome:
             f"word of length {len(w)} is too short for max_n {args.max_n}; "
             f"provide at least {args.safety * args.max_n} letters "
             f"(safety factor {args.safety})")
-    rows = []
-    lines = []
-    all_match = True
-    profile = complexity_profile(w, args.max_n)
-    for n in range(1, args.max_n + 1):
-        c = profile[n]
+    rows, lines = [], []
+    for n, c in enumerate(complexity_profile(w, args.max_n)[1:], 1):
         row = {"n": n, "complexity": c}
         line = f"n={n}: {c}"
         if args.expect:
             expected = 2 * n if args.expect == "2n" else 2 * n + 1
             row["expected"] = expected
             row["match"] = c == expected
-            all_match &= row["match"]
             line += f" expected {expected} {'ok' if row['match'] else 'MISMATCH'}"
         rows.append(row)
         lines.append(line)
     return Outcome({"length": len(w), "max_n": args.max_n,
                     "expect": args.expect}, {"rows": rows}, lines,
-                   "ok" if all_match else "mismatch")
+                   "ok" if all(r.get("match", True) for r in rows)
+                   else "mismatch")
 
 
 def _cmd_check_power(args) -> Outcome:
@@ -315,12 +307,10 @@ def _cmd_check_power(args) -> Outcome:
         kind = f"{threshold}{'+' if args.strict else ''}"
         line = f"ok: no factor violates the {kind} bound"
     else:
-        line = (f"witness: start={witness.start} length={witness.length} "
-                f"period={witness.period}")
+        witness = witness.to_json()
+        line = "witness: " + " ".join(f"{k}={v}" for k, v in witness.items())
     return Outcome({"length": len(w), "threshold": str(threshold),
-                    "strict": args.strict},
-                   {"witness": None if witness is None else witness.to_json()},
-                   [line])
+                    "strict": args.strict}, {"witness": witness}, [line])
 
 
 # ------------------------------------------------------------------ parser

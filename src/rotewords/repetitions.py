@@ -1,11 +1,10 @@
 """Exact periodicity and power analysis.
 
 The exponent of a nonempty word of length l with smallest period p is the
-rational l/p, compared exclusively by integer cross-multiplication (never
-floating point).  A word "avoids k-powers" when every factor has exponent
-< k, and "avoids k+-powers" when every factor has exponent <= k; the
-boundary case of a factor whose exponent is exactly k is permitted only
-in the latter reading.
+rational l/p, compared exactly as Fractions, never in floating point.  A
+word "avoids k-powers" when every factor has exponent < k, and "avoids
+k+-powers" when every factor has exponent <= k; the boundary case of a
+factor whose exponent is exactly k is permitted only in the latter reading.
 
 Scanning all O(n^2) factors one smallest-period computation at a time is
 far too slow, so the whole-word scans synchronise on the period instead:
@@ -40,7 +39,7 @@ class Exponent:
     """Exact word exponent: ``length`` over smallest ``period``.
 
     The pair is kept unreduced so that ``length`` always equals the length
-    of the witnessing word; comparisons use the rational value.
+    of the witnessing word; ``==`` and ``<`` are those of its Fraction value.
     """
 
     length: int
@@ -56,25 +55,15 @@ class Exponent:
     def value(self) -> Fraction:
         return Fraction(self.length, self.period)
 
-    @staticmethod
-    def _rational(other) -> Fraction | None:
-        if isinstance(other, Exponent):
-            return other.value
-        if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return None
-
     def __eq__(self, other) -> bool:
-        r = self._rational(other)
-        if r is None:
-            return NotImplemented
-        return self.length * r.denominator == r.numerator * self.period
+        if isinstance(other, Exponent):
+            other = other.value
+        return self.value == other
 
     def __lt__(self, other) -> bool:
-        r = self._rational(other)
-        if r is None:
-            return NotImplemented
-        return self.length * r.denominator < r.numerator * self.period
+        if isinstance(other, Exponent):
+            other = other.value
+        return self.value < other
 
     def __hash__(self) -> int:
         return hash(self.value)

@@ -26,6 +26,7 @@ and reports agreement row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .words import AlphabetError, Record, Word, parse_word
@@ -114,10 +115,7 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
 def _reference_rows() -> tuple[tuple[tuple[str, ...], int], ...]:
     rows: list[tuple[tuple[str, ...], int]] = [(("0110",), 14)]
     c = ("0010", "0100", "1011", "1101")
-    pair_maxima = iter((44, 28, 13, 13, 28, 44))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            rows.append(((c[i], c[j]), next(pair_maxima)))
+    rows.extend(zip(combinations(c, 2), (44, 28, 13, 13, 28, 44)))
     partners = ("0010", "0100", "0101", "1010", "1011", "1101", "1100")
     for a, m in zip(partners, (15, 31, 12, 18, 15, 31, 30)):
         rows.append((("0011", a), m))
@@ -153,8 +151,8 @@ def run_reference_table(rows: Sequence[tuple[Sequence[str], int]] | None = None,
     out = []
     for forbidden, expected in rows:
         outcome = longest_avoiding(forbidden, target)
-        computed = outcome.max_length if not outcome.reached_target else target
-        out.append(TableRow(tuple(forbidden), expected, computed,
+        out.append(TableRow(tuple(forbidden), expected, outcome.max_length,
                             outcome.witness, outcome.nodes_explored,
-                            computed == expected and not outcome.reached_target))
+                            outcome.max_length == expected
+                            and not outcome.reached_target))
     return out

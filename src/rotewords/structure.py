@@ -7,7 +7,10 @@ sets: the base set
 
 or its image under complement, reversal, or both.  A word of class F (or
 its complement) peels as g applied to an iterated f-image of a ternary
-word; the reversed classes peel through h instead.
+word; the reversed classes peel through h instead.  ``generate_case_word``
+builds one top down from a fixed-point prefix, and each level drops the
+letters the answer does not reach before applying its morphism, so no
+image built passes the requested length by 4 letters or more.
 
 ``decode`` inverts one application of a morphism on a finite factor of
 an image, reading its grammar off the morphism's images:
@@ -46,12 +49,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .morphisms import Morphism, named
 from .properness import PropernessReport, forgiving_scan
 from .words import (AlphabetError, LengthLimitError, Record, Word, _FLIP,
-                    _json, complement, factors_of_length, parikh, parse_word)
+                    _json, complement, parikh, parse_word)
 
 
 class CaseTag(Enum):
@@ -75,6 +78,7 @@ def _build_factor_sets() -> dict[CaseTag, frozenset[bytes]]:
 
 
 FACTOR_SETS: dict[CaseTag, frozenset[bytes]] = _build_factor_sets()
+_BINARY_4 = tuple(bytes(f) for f in product((0, 1), repeat=4))
 
 
 @dataclass(frozen=True)
@@ -125,15 +129,15 @@ def classify_by_length4(w: Word) -> FactorClass:
         raise AlphabetError("classification applies to binary words")
     if len(w) < 4:
         raise ValueError("classification needs at least 4 letters")
-    observed = frozenset(f.letters for f in factors_of_length(w, 4))
-    order = (CaseTag.F, CaseTag.FBAR, CaseTag.FREV, CaseTag.FBARREV)
-    for tag in order:
+    observed = {f for f in _BINARY_4 if f in w.letters}
+    for tag in CaseTag:
         if observed == FACTOR_SETS[tag]:
             return FactorClass(tag=tag)
-    supersets = tuple(t for t in order if observed <= FACTOR_SETS[t])
+    supersets = tuple(t for t in CaseTag if observed <= FACTOR_SETS[t])
     if supersets:
         return FactorClass(compatible=supersets)
-    best = max(order, key=lambda t: (len(observed & FACTOR_SETS[t]), -order.index(t)))
+    # max keeps the first of equal maxima: ties go to the earliest case
+    best = max(CaseTag, key=lambda t: len(observed & FACTOR_SETS[t]))
     offenders = tuple(Word(b, 2) for b in sorted(observed - FACTOR_SETS[best]))
     return FactorClass(offenders=offenders)
 
@@ -287,20 +291,19 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
     chain = "h" if cls.tag in (CaseTag.FREV, CaseTag.FBARREV) else "f"
 
     levels: list[LevelRecord] = []
-    achieved = 0
 
     def add_level(name: str, source: Word) -> Word:
         m = named(name)
         try:
             result = decode(m, source)
         except DecodeError as exc:
-            so_far = DecompositionCertificate(cls, tuple(levels), achieved)
+            so_far = DecompositionCertificate(cls, tuple(levels),
+                                              max(len(levels) - 1, 0))
             raise DecompositionError(
                 f"{name}-decode failed at level {len(levels)}: {exc}",
                 so_far) from exc
         trim = _tail_trim(m, result)
-        trimmed = (result.preimage[:len(result.preimage) - trim]
-                   if trim else result.preimage)
+        trimmed = result.preimage[:len(result.preimage) - trim]
         proper = forgiving_scan(trimmed, front_trim_bound)
         anti = (forgiving_scan(trimmed, front_trim_bound, mirrored=True)
                 if chain == "h" else None)
@@ -312,8 +315,7 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
         if len(current) < min_level_length:
             break
         current = add_level(chain, current)
-        achieved += 1
-    return DecompositionCertificate(cls, tuple(levels), achieved)
+    return DecompositionCertificate(cls, tuple(levels), len(levels) - 1)
 
 
 def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
@@ -330,10 +332,10 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
     (the depth-fold image of the 4-letter seed prefix, then g of it)
     would; their lengths follow from the seed prefix's letter counts.
     The word is then built once, from the shortest fixed-point prefix whose
-    letters' images g(inner^depth(a)) reach ``min_length`` letters, so no
-    image built passes ``min_length`` by a whole letter image.
+    letters' images g(inner^depth(a)) reach ``min_length`` letters, and
+    level by level as the module docstring describes.
     """
-    tag = CaseTag(case) if not isinstance(case, CaseTag) else case
+    tag = CaseTag(case)
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if min_length < 0:
@@ -348,8 +350,7 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
             raise LengthLimitError(
                 f"generate length {min_length} exceeds the limit {limit}")
         counts = parikh(inner.iterate_prefix(seed, 4))
-        for k in range(depth + 1):
-            m = inner if k < depth else g
+        for m in [inner] * depth + [g]:
             counts = [sum(c * img.letters.count(b)
                           for c, img in zip(counts, m.images))
                       for b in range(m.target_alphabet)]
@@ -357,15 +358,20 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
                 raise LengthLimitError(
                     f"generate depth {depth} builds a word of {sum(counts)} "
                     f"letters, which exceeds the limit {limit}")
-    lengths = [len(img) for img in g.images]    # |g inner^k (a)|, k = 0..depth
+    tables = [[len(img) for img in g.images]]  # tables[k][a] = |g inner^k (a)|
     for _ in range(depth):
-        lengths = [sum(lengths[b] for b in img.letters) for img in inner.images]
-    prefix = inner.iterate_prefix(seed, -(-min_length // min(lengths)))
-    ends = list(accumulate(lengths[b] for b in prefix.letters))
-    base = prefix[:bisect_left(ends, min_length) + 1]   # shortest that reaches
-    for _ in range(depth):
-        base = inner.apply(base)
-    out = g.apply(base)[:min_length]
+        tables.append([sum(tables[-1][b] for b in img.letters)
+                       for img in inner.images])
+    prefix = inner.iterate_prefix(seed, -(-min_length // min(tables[-1])))
+    ends = [0, *accumulate(tables[-1][b] for b in prefix.letters)]
+    w = prefix[:bisect_left(ends, min_length)]  # the shortest that reaches
+    total = ends[len(w)]    # the length w builds to, the same at each level
+    for m, table in zip([inner] * depth + [g], reversed(tables)):
+        # drop the last letters whose images the answer does not reach
+        while w and total - table[w[-1]] >= min_length:
+            total -= table[w[-1]]
+            w = w[:-1]
+        w = m.apply(w)
     if tag in (CaseTag.FBAR, CaseTag.FBARREV):
-        out = complement(out)
-    return out
+        w = complement(w)
+    return w[:min_length]

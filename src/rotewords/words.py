@@ -2,8 +2,10 @@
 
 A word is an immutable sequence of small integer letters over a fixed
 alphabet {0, ..., k-1}.  Letters are stored as ``bytes`` so that slicing,
-equality, substring search and window hashing all run at C speed; every
-function in this module is pure and safe to call concurrently.
+equality, substring search, window hashing and the alphabet check all run
+at C speed: a Word deletes its alphabet's letters with ``bytes.translate``
+and looks for the position of a bad letter only when some letter is left.
+Every function in this module is pure and safe to call concurrently.
 
 Text I/O renders letters as ASCII digits with no separators ("0121"),
 one word per line, so an alphabet has at most 10 letters.
@@ -50,7 +52,7 @@ class Word:
         if not 1 <= self.alphabet_size <= MAX_ALPHABET:
             raise AlphabetError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
                                 f"got {self.alphabet_size}")
-        if self.letters and max(self.letters) >= self.alphabet_size:
+        if self.letters.translate(None, bytes(range(self.alphabet_size))):
             bad = next(i for i, b in enumerate(self.letters)
                        if b >= self.alphabet_size)
             raise AlphabetError(
@@ -105,11 +107,11 @@ def word(letters: Iterable[int] | str, alphabet_size: int) -> Word:
 
 def parse_word(text: str, alphabet_size: int) -> Word:
     """Parse a digit string into a Word over the given alphabet."""
-    if text.isascii() and text.isdigit():
+    if text.isascii() and text.isdigit() and alphabet_size <= MAX_ALPHABET:
         data = text.encode("ascii").translate(_FROM_DIGITS)
-        if max(data) < alphabet_size:
+        if not data.translate(None, bytes(range(alphabet_size))):
             return Word(data, alphabet_size)
-    # Slow path: find the first bad character; only the empty text has none.
+    # Slow path: find the first bad character; Word then checks the size.
     for i, ch in enumerate(text):
         if not "0" <= ch <= "9":
             raise ParseError(f"non-digit character {ch!r} at position {i}", i)

@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here follows the definitions directly (enumerate, compare,
-count) and stays independent of the library's optimised code paths.  The
-one exception, ``brute_longest_avoiding``, checks its nodes with the
-library's ``_suffix_52plus``, which the repetition tests compare with
-``brute_suffix_has_52plus`` on every binary word of up to 14 letters.
+count) and stays independent of the library's optimised code paths.  Two
+use plain library helpers: ``brute_longest_avoiding`` checks its nodes
+with the library's ``_suffix_52plus``, which the repetition tests compare
+with ``brute_suffix_has_52plus`` on every binary word of up to 14 letters,
+and ``brute_classify`` reads every window with ``factors_of_length``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from rotewords.repetitions import _suffix_52plus
+from rotewords.words import Word, factors_of_length
 
 
 def all_words(alphabet_size: int, max_len: int, min_len: int = 0):
@@ -248,3 +250,47 @@ def brute_longest_avoiding(forbidden: list[bytes], target: int):
                 break
             w[-1] = 1
     return best_len, best, reached, nodes
+
+
+def brute_runs(data: bytes, need):
+    """(p, a, b) for each maximal run [a, b) of period p with b - a >=
+    need(p), for p = 1, 2, ... until p + need(p) > len(data), each period's
+    runs from brute_agreement_runs.  need(p) is read once, on reaching p,
+    as ``repetitions._runs`` reads it, so a need that reads state the
+    consumer updates sees the same state."""
+    p = 1
+    while p + (k := need(p)) <= len(data):
+        for a, b in brute_agreement_runs(data, p, k):
+            yield p, a, b
+        p += 1
+
+
+CASE_ORDER = ("F", "Fbar", "Frev", "FbarRev")
+
+
+def _case_factor_sets() -> dict[str, set[str]]:
+    base = {"0110", "1001", "0011", "1100", "0010", "0100", "1101", "1010"}
+    bar = {t.translate(str.maketrans("01", "10")) for t in base}
+    return dict(zip(CASE_ORDER, (base, bar, {t[::-1] for t in base},
+                                 {t[::-1] for t in bar})))
+
+
+def brute_classify(data: bytes):
+    """(tag, compatible, offenders) of a binary word, as FactorClass holds
+    them but with tags by value and offenders as digit strings.
+
+    The observed set is read with ``factors_of_length``.  A case whose set
+    equals it is the tag; else every case whose set holds it is compatible;
+    else the offenders are the observed factors outside the case that
+    shares the most of them, ties going to the earliest in CASE_ORDER."""
+    observed = {str(f) for f in factors_of_length(Word(data, 2), 4)}
+    sets = _case_factor_sets()
+    for tag in CASE_ORDER:
+        if observed == sets[tag]:
+            return tag, (), ()
+    compatible = tuple(t for t in CASE_ORDER if observed <= sets[t])
+    if compatible:
+        return None, compatible, ()
+    best = max(CASE_ORDER, key=lambda t: (len(observed & sets[t]),
+                                          -CASE_ORDER.index(t)))
+    return None, (), tuple(sorted(observed - sets[best]))

@@ -1,6 +1,7 @@
-"""Differential tests: the sampled agreement-run scan, the whole-word
-checks built on it, the properness reports, the block decoder and the
-factor-complexity table, against the brute-force oracles.
+"""Differential tests: the sampled agreement-run scan and its period loop,
+the whole-word checks built on them, the properness reports, the block
+decoder, the length-4 classification and the factor-complexity table,
+against the brute-force oracles.
 
 The whole-word checks take the sampled path only once runs of 2 *
 _DENSE_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -15,16 +16,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotewords import (FORBIDDEN_FACTORS, DecodeError, Word,
-                       complexity_profile, decode, find_dominated_xyxyx,
-                       forgiving_scan, is_power_free, max_factor_exponent,
+from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError, Word,
+                       classify_by_length4, complexity_profile, decode,
+                       find_dominated_xyxyx, forgiving_scan,
+                       generate_case_word, is_power_free, max_factor_exponent,
                        named, smallest_period)
 from rotewords import repetitions
-from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs
+from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs, _runs
 
 from oracles import (brute_agreement_runs, brute_avoids, brute_best_run,
-                     brute_decode, brute_dominated_xyxyx, brute_factor_count,
-                     brute_max_exponent, brute_report, brute_smallest_period)
+                     brute_classify, brute_decode, brute_dominated_xyxyx,
+                     brute_factor_count, brute_max_exponent, brute_report,
+                     brute_runs, brute_smallest_period)
 
 CROSSOVER = 2 * _DENSE_STRIDE - 1      # least min_len that is sampled
 
@@ -79,6 +82,49 @@ def test_agreement_runs_match_brute_force(case, dense):
     with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
         runs = list(_agreement_runs(data, p, min_len))
     assert runs == brute_agreement_runs(data, p, min_len)
+
+
+@st.composite
+def noisy_periodic(draw):
+    """A periodic word over 2 or 3 letters with up to 4 letters redrawn."""
+    k = draw(st.sampled_from([2, 3]))
+    base = draw(letters(k, 1, 40))
+    n = draw(st.integers(1, 240))
+    data = bytearray((base * (n // len(base) + 1))[:n])
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        data[i] = draw(st.integers(0, k - 1))
+    return bytes(data)
+
+
+def scan_runs(runs, data: bytes, kind: str):
+    """Every (p, a, b) that ``runs`` yields for one of the callers' needs.
+    "tying" is max_factor_exponent's: it reads the best exponent so far,
+    which this loop raises as runs arrive."""
+    best = [1, 1]       # length, period
+    need = {
+        "phase 1": lambda p: p + p // 2 + 1,                # xyxyx, x > y
+        "5/2+": lambda p: (5 * p) // 2 + 1 - p,             # is_power_free
+        "5/2": lambda p: (5 * p - 1) // 2 + 1 - p,          # not strict
+        "2+": lambda p: p + 1,
+        "tying": lambda p: max(1, -((p * (best[1] - best[0])) // best[1])),
+    }[kind]
+    out = []
+    for p, a, b in runs(data, need):
+        out.append((p, a, b))
+        if (b - a + p) * best[1] > best[0] * p:
+            best[:] = [b - a + p, p]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(noisy_periodic(), st.sampled_from(["phase 1", "5/2+", "5/2", "2+",
+                                          "tying"]),
+       st.sampled_from([1, 10**9]))
+def test_runs_match_brute_force(data, kind, dense):
+    # stride 1 samples every period, and 10**9 reads every one densely
+    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+        got = scan_runs(_runs, data, kind)
+    assert got == scan_runs(brute_runs, data, kind)
 
 
 thresholds = st.builds(Fraction, st.integers(1, 13), st.integers(1, 4)).filter(
@@ -293,3 +339,38 @@ def test_complexity_profile_matches_brute_force(case, max_n):
     data, k = case
     assert complexity_profile(Word(data, k), max_n) == [
         brute_factor_count(data, n) for n in range(max_n + 1)]
+
+
+@st.composite
+def class_word(draw):
+    """A binary word of 4 to 60 letters: a window of a word of one of the
+    four classes, perhaps with a few letters flipped, or a short periodic
+    or random word."""
+    kind = draw(st.sampled_from(["window", "flipped", "periodic", "random"]))
+    if kind == "random":
+        return draw(letters(2, 4, 60))
+    if kind == "periodic":
+        base = draw(letters(2, 1, 6))
+        n = draw(st.integers(4, 60))
+        return (base * n)[:n]
+    w = generate_case_word(draw(st.sampled_from(list(CaseTag))),
+                           draw(st.integers(0, 2)), 200).letters
+    n = draw(st.integers(4, 60))
+    start = draw(st.integers(0, len(w) - n))
+    data = bytearray(w[start:start + n])
+    if kind == "flipped":
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+            data[i] ^= 1
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(class_word())
+@example(bytes([0, 0, 1, 1]) * 4)           # every case is compatible
+@example(bytes([0, 0, 0, 0, 1, 1, 1, 1]))   # inconsistent
+@example(bytes([0, 1, 1, 0]))               # one factor
+def test_classify_matches_brute_force(data):
+    cls = classify_by_length4(Word(data, 2))
+    got = (cls.tag and cls.tag.value, tuple(t.value for t in cls.compatible),
+           tuple(map(str, cls.offenders)))
+    assert got == brute_classify(data)

@@ -46,6 +46,11 @@ def test_exponent_comparisons_are_exact():
     assert Exponent(11, 4) > Fraction(5, 2)
     assert Exponent(4, 2) == Exponent(2, 1) == 2
     assert Exponent(7, 3) < Fraction(5, 2)
+    # a float is compared as the exact rational it holds
+    assert Exponent(5, 2) == 2.5 and hash(Exponent(10, 4)) == hash(2.5)
+    assert Exponent(5, 2) <= 2.5 <= Exponent(10, 4)
+    assert Exponent(7, 3) < 2.5 < Exponent(11, 4)
+    assert Exponent(4, 3) != 4 / 3 and Exponent(4, 3) > 4 / 3
     with pytest.raises(ValueError):
         Exponent(1, 2)
     with pytest.raises(ValueError):

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -12,8 +11,8 @@ from rotewords import (CaseTag, ClassificationError, DecodeError,
                        generate_case_word, h_decode, is_power_free, named,
                        parse_word, reverse)
 
-from rotewords import repetitions
-from rotewords.repetitions import _agreement_runs
+from rotewords import properness
+from rotewords.repetitions import _runs
 
 from oracles import all_words
 
@@ -246,20 +245,18 @@ def test_forgiven_front_keeps_violation_detail_in_level_coordinates():
 def test_report_builds_phase_one_once(front, chain, seed, mirrored, trim):
     # the periodic front holds forgiven xyxyx occurrences at nearly every
     # start (65 checker runs on the proper side when each forgiveness
-    # re-ran the checker); one report still asks for the agreement runs
-    # of each period once
+    # re-ran the checker); one report still makes one pass over the runs
     level = Word(front + named(chain).iterate_prefix(seed, 5000).letters, 3)
-    periods = Counter()
+    scans = []
 
-    def counting(data, p, min_len):
-        periods[p] += 1
-        return _agreement_runs(data, p, min_len)
+    def counting(data, need):
+        scans.append(len(data))
+        return _runs(data, need)
 
-    with mock.patch.object(repetitions, "_agreement_runs", counting):
+    with mock.patch.object(properness, "_runs", counting):
         report = forgiving_scan(level, 64, mirrored=mirrored)
     assert report.trim == trim
-    assert len(periods) > 1000
-    assert set(periods.values()) == {1}
+    assert len(scans) == 1
 
 
 def test_certificate_json_shape():

@@ -3,8 +3,10 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from rotewords.words import Record
+from rotewords.words import MAX_ALPHABET, Record
 from rotewords import (AlphabetError, ParseError, Word, complement,
                        dominates, factor_complexity, factors_of_length,
                        named, parikh, parse_word, reverse, word)
@@ -42,6 +44,41 @@ def test_word_validates_letters():
         Word(bytes([0, 3]), 3)
     with pytest.raises(AlphabetError):
         Word(b"\x00", 0)
+
+
+# mostly small letters, so that some words fit the alphabet
+letter_bytes = st.lists(st.one_of(st.integers(0, 11), st.integers(0, 255)),
+                        max_size=30).map(bytes)
+
+
+@given(letter_bytes, st.integers(1, MAX_ALPHABET))
+def test_word_refuses_exactly_the_letters_outside_the_alphabet(data, k):
+    bad = [i for i, b in enumerate(data) if b >= k]
+    if not bad:
+        assert Word(data, k).letters == data
+        return
+    with pytest.raises(AlphabetError) as err:
+        Word(data, k)
+    assert str(err.value) == (f"letter {data[bad[0]]} at position {bad[0]} "
+                              f"is outside the {k}-letter alphabet")
+
+
+@given(st.text("0123456789x", max_size=20),
+       st.sampled_from([-1, 0, 1, 2, 3, 9, 10, 11, 256, 300]))
+def test_parse_word_reads_letter_by_letter(text, k):
+    # the first non-digit or digit outside the alphabet is the error;
+    # with none, the alphabet size itself is checked
+    bad = next((i for i, ch in enumerate(text)
+                if not ch.isdigit() or int(ch) >= k), None)
+    if bad is not None:
+        with pytest.raises(ParseError) as err:
+            parse_word(text, k)
+        assert err.value.position == bad
+    elif not 1 <= k <= MAX_ALPHABET:
+        with pytest.raises(AlphabetError, match="alphabet size"):
+            parse_word(text, k)
+    else:
+        assert str(parse_word(text, k)) == text
 
 
 def test_alphabet_is_capped_at_ten_letters():
