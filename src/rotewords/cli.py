@@ -47,16 +47,24 @@ class SourceError(ValueError):
     pass
 
 
-def _read_word_line(path: str) -> str:
+def _read_word_line(path: str, limit: int | None) -> str:
     stream = sys.stdin if path == "-" else open(path, "r", encoding="ascii")
+    size = sys.maxsize if limit is None else min(limit + 1, sys.maxsize)
+    text = word = ""
     try:
-        for line in stream:
-            line = line.strip()
-            if line:
-                return line
+        while piece := stream.readline(size):
+            text = (text + piece).lstrip()
+            word = text.rstrip()
+            if len(word) >= size:
+                raise LengthLimitError(f"file line exceeds --limit {limit}")
+            if word and piece.endswith("\n"):
+                return word
+            text = text[:len(word) + size]    # at most size trailing blanks
     finally:
         if stream is not sys.stdin:
             stream.close()
+    if word:
+        return word
     raise SourceError(f"no word found in {'stdin' if path == '-' else path}")
 
 
@@ -84,7 +92,7 @@ def parse_source(spec: str, alphabet_size: int | None = None,
 
     A source longer than ``limit`` letters raises LengthLimitError before
     it is built: a fixed-point prefix on its length field, an image on the
-    length its inner word's letters map to, digit text on its length.
+    length its inner word maps to, and digit text before it is read whole.
     Inner sources of an image are held to the same limit, which is sound
     because every registered morphism is non-erasing.
     """
@@ -96,7 +104,7 @@ def parse_source(spec: str, alphabet_size: int | None = None,
             _check_limit(head, length, limit)
             return m.iterate_prefix(seed, length)
         except (ValueError, KeyError) as exc:
-            raise SourceError(f"bad fixpoint spec {spec!r}: {exc}") from exc
+            raise SourceError(f"bad fixpoint spec {spec!r}: {exc.args[0]}") from exc
     if head == "image":
         name, _, inner = rest.partition(":")
         if not inner:
@@ -104,7 +112,7 @@ def parse_source(spec: str, alphabet_size: int | None = None,
         try:
             m = named(name)
         except KeyError as exc:
-            raise SourceError(str(exc)) from exc
+            raise SourceError(exc.args[0]) from exc
         w = parse_source(inner, m.source_alphabet, limit)
         _check_limit(head, sum(w.letters.count(a) * len(img)
                                for a, img in enumerate(m.images)), limit)
@@ -116,8 +124,7 @@ def parse_source(spec: str, alphabet_size: int | None = None,
     if head == "literal":
         _check_limit(head, len(rest), limit)
         return _infer_word(rest, alphabet_size)
-    text = _read_word_line(rest if head == "file" else spec)
-    _check_limit("file", len(text), limit)
+    text = _read_word_line(rest if head == "file" else spec, limit)
     return _infer_word(text, alphabet_size)
 
 

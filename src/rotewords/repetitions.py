@@ -14,10 +14,10 @@ asks, per period, for the maximal agreement runs of at least some length
 L, and L grows linearly with p.  ``_agreement_runs`` answers it by
 sampling: every run of length >= L contains a window of length
 s = L - q + 1 starting at a multiple of q = ceil(L/2), so comparing
-w[i:i+s] with w[i+p:i+p+s] at i = 0, q, 2q, ... finds every such run, and
-a hit is extended to its maximal ends with a local mismatch mask (XOR of
-the two shifted byte strings as big integers, zero bytes marking
-agreement).  That is about 2n/L probes per period, O(n log n) in all.
+w[i:i+s] with w[i+p:i+p+s] at i = 0, q, 2q, ... finds every such run.  As
+s >= q, hits in a row lie in one run: the scan walks them, then reads both
+ends off one mismatch mask over the failed probes on either side (XOR of the
+shifted byte strings as big ints), 2n/L probes per period, O(n log n) in all.
 Short runs, below a stride of ``_DENSE_STRIDE``, are read off one full mask
 of the period with a regex instead.  ``_runs`` is the one period loop every
 whole-word scan walks, each with its own L as a function of p.
@@ -25,21 +25,21 @@ whole-word scan walks, each with its own L as a function of p.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import partialmethod
 
 from .words import Record, Word
 
 
-@total_ordering
 @dataclass(frozen=True, eq=False)
 class Exponent:
     """Exact word exponent: ``length`` over smallest ``period``.
 
     The pair is kept unreduced so that ``length`` always equals the length
-    of the witnessing word; ``==`` and ``<`` are those of its Fraction value.
+    of the witnessing word; every comparison is that of its Fraction value.
     """
 
     length: int
@@ -55,15 +55,15 @@ class Exponent:
     def value(self) -> Fraction:
         return Fraction(self.length, self.period)
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Exponent):
-            other = other.value
-        return self.value == other
+    def _compare(self, other, op) -> bool:
+        return op(self.value,
+                  other.value if isinstance(other, Exponent) else other)
 
-    def __lt__(self, other) -> bool:
-        if isinstance(other, Exponent):
-            other = other.value
-        return self.value < other
+    __eq__ = partialmethod(_compare, op=operator.eq)
+    __lt__ = partialmethod(_compare, op=operator.lt)
+    __le__ = partialmethod(_compare, op=operator.le)
+    __gt__ = partialmethod(_compare, op=operator.gt)
+    __ge__ = partialmethod(_compare, op=operator.ge)
 
     def __hash__(self) -> int:
         return hash(self.value)
@@ -117,8 +117,8 @@ def _mismatch_mask(data: bytes, p: int) -> bytes:
     return (a ^ b).to_bytes(m, "big")
 
 
-# Below this stride the probes of _agreement_runs cost more than one full
-# mask of the period read with a regex.
+# Below this stride walking the probes of _agreement_runs costs more than
+# one full mask of the period read with a regex.
 _DENSE_STRIDE = 32
 
 
@@ -126,10 +126,10 @@ def _agreement_runs(data: bytes, p: int, min_len: int):
     """Yield, left to right, the maximal runs [a, b) with b - a >= min_len
     and data[i] == data[i+p] for every a <= i < b.
 
-    Probes a window of length s = min_len - q + 1 at multiples of the
-    stride q = ceil(min_len/2).  A hit is extended left by less than q
-    letters (the previous probe, or the mismatch ending the previous run,
-    lies within q of it) and right in doubling chunks.
+    Walks probes of length s = min_len - q + 1 at multiples of the stride
+    q = ceil(min_len/2).  Hitting probes h, ..., j - q lie in one run, whose
+    ends fall in the failed probes h - q and j (or at the ends of data), so
+    one mask over [h - q, j + s) reads both.
     """
     m = len(data) - p
     q = (min_len + 1) // 2
@@ -140,22 +140,17 @@ def _agreement_runs(data: bytes, p: int, min_len: int):
     s = min_len - q + 1
     i = 0
     while i + s <= m:
-        if data[i:i + s] != data[i + p:i + p + s]:
+        if data[i:i + s] == data[i + p:i + p + s]:
+            lo = max(i - q, 0)
             i += q
-            continue
-        lo = max(i - q, 0)
-        a = lo + len(_mismatch_mask(data[lo:i + p], p).rstrip(b"\x00"))
-        b, step = i + s, s
-        while b < m:
-            hi = min(b + step, m)
-            tail = _mismatch_mask(data[b:hi + p], p).lstrip(b"\x00")
-            b = hi - len(tail)
-            if tail:
-                break
-            step *= 2
-        if b - a >= min_len:
-            yield a, b
-        i = (b // q + 1) * q
+            while i + s <= m and data[i:i + s] == data[i + p:i + p + s]:
+                i += q
+            mask = _mismatch_mask(data[lo:i + s + p], p)    # may end at m
+            a = lo + len(mask[:i - q - lo].rstrip(b"\x00"))
+            b = lo + len(mask) - len(mask[i - q - lo:].lstrip(b"\x00"))
+            if b - a >= min_len:
+                yield a, b
+        i += q
 
 
 def _runs(data: bytes, need):

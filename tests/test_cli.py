@@ -1,12 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from rotewords import NAMED_MORPHISMS, Morphism, Word, named
-from rotewords.cli import _build_parser, main
+from rotewords import NAMED_MORPHISMS, Morphism, Word, named, parse_word
+from rotewords.cli import _build_parser, main, parse_source
 
 
 def run(capsys, *argv):
@@ -140,6 +141,55 @@ def test_classify_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "classify", "--input", "-")
     assert code == 0
     assert "class: F" in out
+
+
+@pytest.mark.parametrize("text, word", [
+    ("\n  \n\n0110\n1\n", "0110"),       # blank lines before the word
+    ("  \t0110 \t\n", "0110"),           # surrounding whitespace
+    ("\n0110", "0110"),                   # a last line without a newline
+    (" " * 300 + "0110" + " " * 300 + "\n", "0110"),   # blanks past the limit
+    ("0" * 100 + "\n", "0" * 100),        # exactly the limit
+], ids=["blank-lines", "whitespace", "no-newline", "long-blanks", "at-limit"])
+def test_file_input_is_the_first_non_empty_line(tmp_path, capsys, text, word):
+    path = tmp_path / "word.txt"
+    path.write_text(text)
+    for limit in (100, 10**30, None):   # 10**30 is past sys.maxsize
+        assert parse_source(f"file:{path}", limit=limit) == parse_word(word, 2)
+    code, out, _ = run(capsys, "check-power", "--input", f"file:{path}",
+                       "--threshold", "2", "--limit", "100", "--json")
+    assert code == 0
+    assert json_lines(out)[0]["parameters"]["length"] == len(word)
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("0" * 101 + "\n", 3, "exceeds --limit 100"),
+    ("\n 0" + " " * 150 + "1\n", 3, "exceeds --limit 100"),
+    ("01 10\n", 2, "non-digit character ' ' at position 2"),
+], ids=["over-limit", "blanks-inside-over-limit", "blank-inside"])
+def test_file_input_refusals(tmp_path, capsys, text, code, message):
+    path = tmp_path / "word.txt"
+    path.write_text(text)
+    result = run(capsys, "check-power", "--input", f"file:{path}",
+                 "--threshold", "2", "--limit", "100")
+    assert result[:2] == (code, "")
+    assert message in result[2]
+
+
+def test_file_line_over_the_limit_is_refused_before_it_is_read(tmp_path,
+                                                               capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("0" * 10**6 + "\n")
+    _build_parser()         # built once per process, so not counted below
+    tracemalloc.start()
+    try:
+        code = main(["check-power", "--input", f"file:{path}",
+                     "--threshold", "2", "--limit", "100"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "exceeds --limit 100" in capsys.readouterr().err
+    assert peak < 256 * 1024
 
 
 def test_decode_command(capsys):
@@ -384,6 +434,37 @@ def test_negative_count_option_is_usage_error(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"{flag} must be non-negative" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["complexity", "--input", "literal:0110", "--max-n", "0"],
+     "--max-n must be at least 1"),
+    (["check-power", "--input", "literal:0110", "--threshold", "abc"],
+     "bad threshold 'abc'"),
+    (["check-power", "--input", "literal:0110", "--threshold", "1/0"],
+     "bad threshold '1/0'"),
+    (["classify", "--input", "image:g:"], "image spec needs an inner source"),
+    (["classify", "--input", "complement:"],
+     "complement spec needs an inner source"),
+    (["classify", "--input", "image:nosuch:literal:01"],
+     "error: unknown morphism 'nosuch'"),
+    (["classify", "--input", "fixpoint:nosuch:0:5"],
+     "'fixpoint:nosuch:0:5': unknown morphism 'nosuch'"),
+    (["classify", "--input", "file:BLANK"], "no word found in"),
+    (["generate", "--case", "F", "--depth", "-1", "--length", "5"],
+     "depth must be non-negative"),
+    (["decompose", "--input", "literal:0110", "--depth", "-1"],
+     "depth must be non-negative"),
+], ids=["max-n-0", "threshold-abc", "threshold-1/0", "image-no-inner",
+        "complement-no-inner", "image-unknown", "fixpoint-unknown",
+        "blank-file", "generate-depth", "decompose-depth"])
+def test_usage_error_paths(tmp_path, capsys, argv, message):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n  \n\t\n")
+    code, out, err = run(capsys, *(a.replace("BLANK", str(blank))
+                                   for a in argv))
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_seed_trim_is_a_decompose_option_only(capsys):

@@ -9,6 +9,7 @@ those tests also run with the stride threshold lowered to 1, where every
 period is sampled.
 """
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -75,13 +76,35 @@ def scan_case(draw):
 stride = st.sampled_from([1, _DENSE_STRIDE])
 
 
+def stretch_in_filler(period: int, repeats: int, filler: int, seed: int):
+    """Random binary filler around ``repeats`` copies of a random block."""
+    rng = random.Random(seed)
+    noise = [bytes(rng.randrange(2) for _ in range(n))
+             for n in (period, filler, filler)]
+    return noise[1] + noise[0] * repeats + noise[2]
+
+
 @settings(max_examples=300, deadline=None)
 @given(scan_case(), stride)
+# runs that cross dozens of probes: one reaching both ends of the word, one
+# ending inside it
+@example((stretch_in_filler(300, 10, 0, 1), 300, 100), _DENSE_STRIDE)
+@example((stretch_in_filler(300, 10, 150, 2), 300, 100), _DENSE_STRIDE)
 def test_agreement_runs_match_brute_force(case, dense):
     data, p, min_len = case
     with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
         runs = list(_agreement_runs(data, p, min_len))
     assert runs == brute_agreement_runs(data, p, min_len)
+
+
+def test_agreement_runs_read_each_run_off_one_mask():
+    data = stretch_in_filler(100, 40, 1000, 3)
+    with mock.patch.object(repetitions, "_mismatch_mask",
+                           wraps=repetitions._mismatch_mask) as mask:
+        runs = list(_agreement_runs(data, 100, 150))
+    assert runs == brute_agreement_runs(data, 100, 150)
+    assert len(runs) == 1 and runs[0][1] - runs[0][0] >= 3900
+    assert mask.call_count == 1
 
 
 @st.composite

@@ -51,6 +51,12 @@ def test_exponent_comparisons_are_exact():
     assert Exponent(5, 2) <= 2.5 <= Exponent(10, 4)
     assert Exponent(7, 3) < 2.5 < Exponent(11, 4)
     assert Exponent(4, 3) != 4 / 3 and Exponent(4, 3) > 4 / 3
+    # against a NaN every comparison but != answers False, as Fraction's do
+    nan = float("nan")
+    for e in (Exponent(5, 2), Exponent(1, 1)):
+        assert not (e == nan or e < nan or e <= nan or e > nan or e >= nan)
+        assert not (nan == e or nan < e or nan <= e or nan > e or nan >= e)
+        assert e != nan and nan != e
     with pytest.raises(ValueError):
         Exponent(1, 2)
     with pytest.raises(ValueError):
