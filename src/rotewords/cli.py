@@ -308,7 +308,9 @@ def _cmd_check_power(args) -> Outcome:
     try:
         threshold = Fraction(args.threshold)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SourceError(f"bad threshold {args.threshold!r}: {exc}") from exc
+        why = ("its denominator is zero" if isinstance(exc, ZeroDivisionError)
+               else exc)
+        raise SourceError(f"bad threshold {args.threshold!r}: {why}") from exc
     witness = is_power_free(w, threshold, args.strict)
     if witness is None:
         kind = f"{threshold}{'+' if args.strict else ''}"

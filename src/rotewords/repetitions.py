@@ -11,16 +11,23 @@ far too slow, so the whole-word scans synchronise on the period instead:
 a factor of length l with period p is a run of l - p consecutive
 positions i where w[i] == w[i+p].  Every threshold question therefore
 asks, per period, for the maximal agreement runs of at least some length
-L, and L grows linearly with p.  ``_agreement_runs`` answers it by
-sampling: every run of length >= L contains a window of length
-s = L - q + 1 starting at a multiple of q = ceil(L/2), so comparing
-w[i:i+s] with w[i+p:i+p+s] at i = 0, q, 2q, ... finds every such run.  As
-s >= q, hits in a row lie in one run: the scan walks them, then reads both
-ends off one mismatch mask over the failed probes on either side (XOR of the
-shifted byte strings as big ints), 2n/L probes per period, O(n log n) in all.
-Short runs, below a stride of ``_DENSE_STRIDE``, are read off one full mask
-of the period with a regex instead.  ``_runs`` is the one period loop every
-whole-word scan walks, each with its own L as a function of p.
+L = need(p), and ``_runs`` is the one period loop every whole-word scan
+walks, each with its own need.  Every run of length >= L contains a window
+of s = L - q + 1 letters starting at a multiple of q = ceil(L/2).  So from
+the first period whose stride q reaches ``_BAND_STRIDE``, ``_runs`` takes
+a whole octave of periods [P, 2P) at once with L = need(P): it looks for
+each sample w[i:i+s] with one ``bytes.find`` over w[i+P:i+2P-1+s], and each
+hit j names a period j - i, so a sample costs one find per hit, not one
+compare per period.  As s >= q, hits in a row lie in one run: the scan
+walks them, then reads both ends off one mismatch mask over the failed
+samples on either side (XOR of the shifted byte strings as big ints), in
+period order and only once the run is asked for.  With about 2n/L samples per octave and log n octaves this is near n log n
+unless runs abound.  One need per octave is exact because every caller's
+need never falls as p grows (``max_factor_exponent``'s follows its best
+exponent so far, which only rises): need(P) finds every run a later period
+asks for, and each run is kept if it reaches need(p), read once, on
+reaching p.  Shorter strides read each period off one full mask with a
+regex.
 """
 
 from __future__ import annotations
@@ -117,53 +124,80 @@ def _mismatch_mask(data: bytes, p: int) -> bytes:
     return (a ^ b).to_bytes(m, "big")
 
 
-# Below this stride walking the probes of _agreement_runs costs more than
-# one full mask of the period read with a regex.
-_DENSE_STRIDE = 32
+# From the period whose stride ceil(need/2) reaches this, _runs scans a
+# whole octave of periods at once; below it one mask per period costs less.
+_BAND_STRIDE = 16
 
 
 def _agreement_runs(data: bytes, p: int, min_len: int):
     """Yield, left to right, the maximal runs [a, b) with b - a >= min_len
-    and data[i] == data[i+p] for every a <= i < b.
+    and data[i] == data[i+p] for every a <= i < b, read off one mask of
+    the period with a regex."""
+    for hit in re.finditer(b"\x00{%d,}" % min_len, _mismatch_mask(data, p)):
+        yield hit.start(), hit.end()
 
-    Walks probes of length s = min_len - q + 1 at multiples of the stride
-    q = ceil(min_len/2).  Hitting probes h, ..., j - q lie in one run, whose
-    ends fall in the failed probes h - q and j (or at the ends of data), so
-    one mask over [h - q, j + s) reads both.
+
+def _band_runs(data: bytes, low: int, top: int, min_len: int):
+    """Yield (p, a, b), sorted, for each maximal run [a, b) of period p
+    with low <= p < top, b - a >= min_len and data[i] == data[i+p] on it.
+
+    Each window of s = min_len - q + 1 letters at a multiple i of the
+    stride q = ceil(min_len/2) is looked for once over the whole band, and
+    each hit j names the period j - i.  A hit whose period's last walk
+    already passed i is skipped; any other walks on by q while the samples
+    still agree at that period.  The run's ends fall in the failed samples
+    on either side, so one mask over them reads both, once the walks are
+    sorted and a run is asked for.
     """
-    m = len(data) - p
+    n = len(data)
     q = (min_len + 1) // 2
-    if q < _DENSE_STRIDE:
-        for hit in re.finditer(b"\x00{%d,}" % min_len, _mismatch_mask(data, p)):
-            yield hit.start(), hit.end()
-        return
     s = min_len - q + 1
-    i = 0
-    while i + s <= m:
-        if data[i:i + s] == data[i + p:i + p + s]:
-            lo = max(i - q, 0)
-            i += q
-            while i + s <= m and data[i:i + s] == data[i + p:i + p + s]:
-                i += q
-            mask = _mismatch_mask(data[lo:i + s + p], p)    # may end at m
-            a = lo + len(mask[:i - q - lo].rstrip(b"\x00"))
-            b = lo + len(mask) - len(mask[i - q - lo:].lstrip(b"\x00"))
-            if b - a >= min_len:
-                yield a, b
-        i += q
+    reach, walks = {}, []
+    for i in range(0, n - low - s + 1, q):
+        window, end = data[i:i + s], i + top - 1 + s
+        j = data.find(window, i + low, end)
+        while j >= 0:
+            p = j - i
+            if reach.get(p, 0) <= i:
+                k = i + q
+                while k + p + s <= n and data[k:k + s] == data[k + p:k + p + s]:
+                    k += q
+                reach[p] = k
+                walks.append((p, i, k))
+            j = data.find(window, j + 1, end)
+    walks.sort()
+    for p, i, k in walks:
+        lo = max(i - q, 0)
+        mask = _mismatch_mask(data[lo:k + s + p], p)    # may end at n - p
+        a = lo + len(mask[:i - lo].rstrip(b"\x00"))
+        b = lo + len(mask) - len(mask[k - q - lo:].lstrip(b"\x00"))
+        if b - a >= min_len:
+            yield p, a, b
 
 
 def _runs(data: bytes, need):
     """Yield (p, a, b) for each maximal run [a, b) of period p with
     b - a >= need(p), for p = 1, 2, ... until p + need(p) > len(data).
 
-    need(p) is read once, on reaching p; callers keep p + need(p) from
-    falling as p grows, so no later period can hold such a run."""
-    p = 1
-    while p + (k := need(p)) <= len(data):
-        for a, b in _agreement_runs(data, p, k):
-            yield p, a, b
-        p += 1
+    need(p) is read at most once, on reaching p; callers keep need(p) from
+    falling as p grows, so a band's first need finds every run its later
+    periods ask for, and no period past the stop can hold such a run."""
+    p, k = 1, need(1)
+    while p + k <= len(data):
+        if (k + 1) // 2 < _BAND_STRIDE:
+            band = ((p, a, b) for a, b in _agreement_runs(data, p, k))
+            top = p + 1
+        else:
+            top = min(2 * p, len(data) - k + 1)
+            band = _band_runs(data, p, top, k)
+        for run in band:
+            if run[0] != p:
+                p, k = run[0], need(run[0])
+                if p + k > len(data):
+                    return
+            if run[2] - run[1] >= k:
+                yield run
+        p, k = top, need(top)
 
 
 def _normalize_threshold(threshold) -> Fraction:

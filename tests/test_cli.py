@@ -467,6 +467,14 @@ def test_usage_error_paths(tmp_path, capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("threshold", ["1/0", "0/0", "5/0"])
+def test_threshold_with_zero_denominator_names_it(capsys, threshold):
+    code, out, err = run(capsys, "check-power", "--input", "literal:0110",
+                         "--threshold", threshold)
+    assert (code, out) == (2, "")
+    assert f"bad threshold '{threshold}': its denominator is zero" in err
+
+
 def test_seed_trim_is_a_decompose_option_only(capsys):
     code, _, _ = run(capsys, "decompose", "--depth", "2", "--input",
                      "image:g:fixpoint:f:0:1000", "--seed-trim", "5")

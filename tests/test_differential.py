@@ -1,12 +1,13 @@
-"""Differential tests: the sampled agreement-run scan and its period loop,
-the whole-word checks built on them, the properness reports, the block
+"""Differential tests: the agreement-run readers (one mask per period,
+and the banded scan of an octave of periods) and their period loop, the
+whole-word checks built on them, the properness reports, the block
 decoder, the length-4 classification and the factor-complexity table,
 against the brute-force oracles.
 
-The whole-word checks take the sampled path only once runs of 2 *
-_DENSE_STRIDE - 1 letters are asked for, which short words never reach, so
-those tests also run with the stride threshold lowered to 1, where every
-period is sampled.
+The whole-word checks band their periods only once runs of 2 *
+_BAND_STRIDE - 1 letters are asked for, which short words never reach, so
+those tests run with the band cutover at 1, where every period is banded,
+and at 10**9, where none is.
 """
 
 import random
@@ -23,14 +24,15 @@ from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError, Word,
                        generate_case_word, is_power_free, max_factor_exponent,
                        named, smallest_period)
 from rotewords import repetitions
-from rotewords.repetitions import _DENSE_STRIDE, _agreement_runs, _runs
+from rotewords.repetitions import (_BAND_STRIDE, _agreement_runs, _band_runs,
+                                   _runs)
 
 from oracles import (brute_agreement_runs, brute_avoids, brute_best_run,
                      brute_classify, brute_decode, brute_dominated_xyxyx,
                      brute_factor_count, brute_max_exponent, brute_report,
                      brute_runs, brute_smallest_period)
 
-CROSSOVER = 2 * _DENSE_STRIDE - 1      # least min_len that is sampled
+CROSSOVER = 2 * _BAND_STRIDE - 1       # least min_len banded by default
 
 
 def letters(k: int, min_size: int = 0, max_size: int | None = None):
@@ -65,7 +67,7 @@ def random_word(draw):
 @st.composite
 def scan_case(draw):
     data, p = draw(st.one_of(planted(), random_word()))
-    # planted runs are shorter than 3p + 10, so sampled lengths stop near
+    # planted runs are shorter than 3p + 10, so banded lengths stop near
     # there to leave something to find
     min_len = draw(st.one_of(
         st.integers(1, CROSSOVER - 1),
@@ -73,7 +75,8 @@ def scan_case(draw):
     return data, p, min_len
 
 
-stride = st.sampled_from([1, _DENSE_STRIDE])
+# every period banded, or none
+cutover = st.sampled_from([1, 10**9])
 
 
 def stretch_in_filler(period: int, repeats: int, filler: int, seed: int):
@@ -85,26 +88,62 @@ def stretch_in_filler(period: int, repeats: int, filler: int, seed: int):
 
 
 @settings(max_examples=300, deadline=None)
-@given(scan_case(), stride)
-# runs that cross dozens of probes: one reaching both ends of the word, one
+@given(scan_case())
+# runs that cross dozens of samples: one reaching both ends of the word, one
 # ending inside it
-@example((stretch_in_filler(300, 10, 0, 1), 300, 100), _DENSE_STRIDE)
-@example((stretch_in_filler(300, 10, 150, 2), 300, 100), _DENSE_STRIDE)
-def test_agreement_runs_match_brute_force(case, dense):
+@example((stretch_in_filler(300, 10, 0, 1), 300, 100))
+@example((stretch_in_filler(300, 10, 150, 2), 300, 100))
+def test_agreement_runs_match_brute_force(case):
+    # both readers of one period: its mask, and a band of that period alone
     data, p, min_len = case
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
-        runs = list(_agreement_runs(data, p, min_len))
-    assert runs == brute_agreement_runs(data, p, min_len)
+    expected = brute_agreement_runs(data, p, min_len)
+    assert list(_agreement_runs(data, p, min_len)) == expected
+    assert list(_band_runs(data, p, p + 1, min_len)) == [
+        (p, a, b) for a, b in expected]
 
 
 def test_agreement_runs_read_each_run_off_one_mask():
+    # the band's extension walks the 40 periods' samples, then reads both
+    # ends of the run off one mask
     data = stretch_in_filler(100, 40, 1000, 3)
     with mock.patch.object(repetitions, "_mismatch_mask",
                            wraps=repetitions._mismatch_mask) as mask:
-        runs = list(_agreement_runs(data, 100, 150))
-    assert runs == brute_agreement_runs(data, 100, 150)
-    assert len(runs) == 1 and runs[0][1] - runs[0][0] >= 3900
+        runs = list(_band_runs(data, 100, 200, 150))
+    assert runs == [(p, a, b) for p in range(100, 200)
+                    for a, b in brute_agreement_runs(data, p, 150)]
+    assert len(runs) == 1 and runs[0][2] - runs[0][1] >= 3900
     assert mask.call_count == 1
+
+
+@st.composite
+def band_case(draw):
+    """Filler and stretches of a short period d, with a band [low, top) of
+    at most an octave and a least run length: the band holds several
+    multiples of d, so one sample hits several of its periods."""
+    k = draw(st.sampled_from([2, 3]))
+    d = draw(st.integers(1, 8))
+    pieces = []
+    for _ in range(draw(st.integers(1, 3))):
+        pieces.append(draw(letters(k, max_size=40)))
+        base = draw(letters(k, d, d))
+        length = draw(st.integers(d, 300))
+        pieces.append((base * (length // d + 1))[:length])
+    data = b"".join(pieces)
+    low = draw(st.integers(1, 80))
+    top = draw(st.integers(low + 1, 2 * low))
+    return data, low, top, draw(st.integers(1, 2 * low + 20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(band_case())
+@example((b"\0\1" * 150, 20, 40, 31))               # every even period
+@example((b"\0\1\2" * 40 + b"\1" + b"\0\1\2" * 40, 30, 60, 45))
+@example((stretch_in_filler(7, 30, 50, 4), 14, 28, 16))
+def test_band_runs_match_brute_force(case):
+    data, low, top, min_len = case
+    assert list(_band_runs(data, low, top, min_len)) == [
+        (p, a, b) for p in range(low, top)
+        for a, b in brute_agreement_runs(data, p, min_len)]
 
 
 @st.composite
@@ -142,12 +181,36 @@ def scan_runs(runs, data: bytes, kind: str):
 @settings(max_examples=300, deadline=None)
 @given(noisy_periodic(), st.sampled_from(["phase 1", "5/2+", "5/2", "2+",
                                           "tying"]),
-       st.sampled_from([1, 10**9]))
-def test_runs_match_brute_force(data, kind, dense):
-    # stride 1 samples every period, and 10**9 reads every one densely
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+       cutover)
+def test_runs_match_brute_force(data, kind, cut):
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
         got = scan_runs(_runs, data, kind)
     assert got == scan_runs(brute_runs, data, kind)
+
+
+G_OF_F = named("g").apply(named("f").iterate_prefix(0, 2500)).letters[:2500]
+
+
+@pytest.mark.parametrize("cut", [1, _BAND_STRIDE, 10**9])
+@pytest.mark.parametrize("data", [G_OF_F, b"\0\1" * 600,
+                                  stretch_in_filler(40, 20, 300, 5)],
+                         ids=["g-of-f", "period-2", "period-40"])
+@pytest.mark.parametrize("kind", ["phase 1", "5/2+", "tying"])
+def test_runs_read_need_once_per_period(data, kind, cut):
+    # need(p) is read at most once for each p, and in increasing p: the
+    # reads are strictly increasing
+    reads = []
+
+    def need(p):
+        reads.append(p)
+        return inner(p)
+
+    inner = {"phase 1": lambda p: p + p // 2 + 1,
+             "5/2+": lambda p: (5 * p) // 2 + 1 - p,
+             "tying": lambda p: max(1, p // 2)}[kind]
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
+        list(_runs(data, need))
+    assert reads == sorted(set(reads))
 
 
 thresholds = st.builds(Fraction, st.integers(1, 13), st.integers(1, 4)).filter(
@@ -155,9 +218,9 @@ thresholds = st.builds(Fraction, st.integers(1, 13), st.integers(1, 4)).filter(
 
 
 @settings(max_examples=200, deadline=None)
-@given(letters(2, 1, 16), thresholds, st.booleans(), stride)
-def test_is_power_free_matches_brute_force(data, threshold, strict, dense):
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+@given(letters(2, 1, 16), thresholds, st.booleans(), cutover)
+def test_is_power_free_matches_brute_force(data, threshold, strict, cut):
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
         witness = is_power_free(Word(data, 2), threshold, strict)
     assert (witness is None) == brute_avoids(data, threshold, strict)
     if witness is not None:
@@ -169,10 +232,10 @@ def test_is_power_free_matches_brute_force(data, threshold, strict, dense):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3]).flatmap(lambda k: letters(k, 1, 14)), stride)
-def test_max_factor_exponent_matches_brute_force(data, dense):
+@given(st.sampled_from([2, 3]).flatmap(lambda k: letters(k, 1, 14)), cutover)
+def test_max_factor_exponent_matches_brute_force(data, cut):
     value, (start, length, period) = brute_max_exponent(data)
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
         e, witness = max_factor_exponent(Word(data, 3))
     assert e.value == value
     assert (witness.start, witness.length, witness.period) \
@@ -202,11 +265,11 @@ def tied(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(tied(), planted().map(lambda case: case[0]),
-                 letters(2, 1, 300), letters(3, 1, 300)), stride)
-@example(bytes([0, 0, 1, 0, 0, 1]), _DENSE_STRIDE)    # 2/1 twice at start 0
-@example(bytes([0, 1, 1, 0, 1, 0, 0, 1]), _DENSE_STRIDE)  # 2/1 and 4/2 tie
-def test_max_factor_exponent_matches_best_run(data, dense):
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+                 letters(2, 1, 300), letters(3, 1, 300)), cutover)
+@example(bytes([0, 0, 1, 0, 0, 1]), _BAND_STRIDE)     # 2/1 twice at start 0
+@example(bytes([0, 1, 1, 0, 1, 0, 0, 1]), _BAND_STRIDE)  # 2/1 and 4/2 tie
+def test_max_factor_exponent_matches_best_run(data, cut):
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
         e, witness = max_factor_exponent(Word(data, 3))
     length, period, start = brute_best_run(data)
     assert (e.length, e.period) == (length, period)
@@ -223,8 +286,8 @@ periodic = st.builds(lambda base, n, tail: (base * n)[:n] + tail,
 @st.composite
 def periodic_over(draw):
     """A periodic word, its letters shifted cyclically over 3 or 4 letters,
-    with that alphabet size; its stretches reach periods of about 44, where
-    the default stride samples."""
+    with that alphabet size; its stretches reach periods of about 44, and
+    the band cutover at 1 bands every one of them."""
     k, shift = draw(st.sampled_from([3, 4])), draw(st.integers(0, 3))
     return bytes((c + shift) % k for c in draw(periodic)), k
 
@@ -233,10 +296,10 @@ def periodic_over(draw):
 @given(st.one_of(
     st.sampled_from([2, 3, 4]).flatmap(
         lambda k: st.tuples(letters(k, 0, 24), st.just(k))),
-    periodic_over()), stride)
-def test_find_dominated_xyxyx_matches_brute_force(case, dense):
+    periodic_over()), cutover)
+def test_find_dominated_xyxyx_matches_brute_force(case, cut):
     data, k = case
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
         occ = find_dominated_xyxyx(Word(data, k))
     got = None if occ is None else (occ.start, occ.x_length, occ.y_length)
     assert got == brute_dominated_xyxyx(data, k)
@@ -280,13 +343,13 @@ def report_tuple(report):
 
 # On the antiproper side a later candidate can start before an earlier
 # forgiven one; it must be passed over, not forgiven again.
-@example(bytes([0, 1, 2, 1]) * 3 + bytes([0]), None, True, _DENSE_STRIDE)
+@example(bytes([0, 1, 2, 1]) * 3 + bytes([0]), None, True, _BAND_STRIDE)
 @settings(max_examples=400, deadline=None)
 @given(level_word(), st.sampled_from([0, 1, 5, 64, None]), st.booleans(),
-       stride)
-def test_report_matches_rerun_loop(data, bound, mirrored, dense):
+       cutover)
+def test_report_matches_rerun_loop(data, bound, mirrored, cut):
     bound = len(data) if bound is None else bound
-    with mock.patch.object(repetitions, "_DENSE_STRIDE", dense):
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
         report = forgiving_scan(Word(data, 3), bound, mirrored=mirrored)
     assert report_tuple(report) == brute_report(data, bound, mirrored)
     assert report.checked_length == len(data) - report.trim
