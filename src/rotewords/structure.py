@@ -7,10 +7,14 @@ sets: the base set
 
 or its image under complement, reversal, or both.  A word of class F (or
 its complement) peels as g applied to an iterated f-image of a ternary
-word; the reversed classes peel through h instead.  ``generate_case_word``
-builds one top down from a fixed-point prefix, and each level drops the
-letters the answer does not reach before applying its morphism, so no
-image built passes the requested length by 4 letters or more.
+word (f's fixed point on 0); the reversed classes peel through h (its
+fixed point on 1) instead.  ``_BARRED`` and ``_REVERSED`` state this once
+for the factor sets, ``decompose`` and ``generate_case_word``, which walk
+their ``depth`` levels one at a time, never as a list.
+``generate_case_word`` builds a word top down from a fixed-point prefix,
+and each level drops the letters the answer does not reach before
+applying its morphism, so no image built passes the requested length by
+4 letters or more.
 
 ``decode`` inverts one application of a morphism on a finite factor of
 an image, reading its grammar off the morphism's images:
@@ -67,17 +71,14 @@ class CaseTag(Enum):
 _BASE_FACTORS = ("0110", "1001", "0011", "1100", "0010", "0100", "1101", "1010")
 
 
-def _build_factor_sets() -> dict[CaseTag, frozenset[bytes]]:
-    base = frozenset(parse_word(t, 2).letters for t in _BASE_FACTORS)
-    return {
-        CaseTag.F: base,
-        CaseTag.FBAR: frozenset(b.translate(_FLIP) for b in base),
-        CaseTag.FREV: frozenset(b[::-1] for b in base),
-        CaseTag.FBARREV: frozenset(b[::-1].translate(_FLIP) for b in base),
-    }
+_BARRED = (CaseTag.FBAR, CaseTag.FBARREV)     # complements of F and Frev
+_REVERSED = (CaseTag.FREV, CaseTag.FBARREV)   # peel through h, not f
 
-
-FACTOR_SETS: dict[CaseTag, frozenset[bytes]] = _build_factor_sets()
+FACTOR_SETS: dict[CaseTag, frozenset[bytes]] = {
+    tag: frozenset(parse_word(t[::-1] if tag in _REVERSED else t, 2).letters
+                   .translate(_FLIP if tag in _BARRED else None)
+                   for t in _BASE_FACTORS)
+    for tag in CaseTag}
 _BINARY_4 = tuple(bytes(f) for f in product((0, 1), repeat=4))
 
 
@@ -251,7 +252,11 @@ class LevelRecord(Record):
 class DecompositionCertificate:
     factor_class: FactorClass
     levels: tuple[LevelRecord, ...]
-    depth_achieved: int
+
+    @property
+    def depth_achieved(self) -> int:
+        """Rounds of f or h decoded after g; 0 also when g itself failed."""
+        return max(len(self.levels) - 1, 0)
 
     def to_json(self) -> dict:
         # not a Record: its key "class" is a Python keyword, so no field
@@ -287,35 +292,27 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
         kind = "ambiguous" if cls.is_ambiguous else "inconsistent"
         raise ClassificationError(
             f"cannot decompose: length-4 factor classification is {kind}", cls)
-    work = complement(w) if cls.tag in (CaseTag.FBAR, CaseTag.FBARREV) else w
-    chain = "h" if cls.tag in (CaseTag.FREV, CaseTag.FBARREV) else "f"
-
+    chain = "h" if cls.tag in _REVERSED else "f"
+    current = complement(w) if cls.tag in _BARRED else w
     levels: list[LevelRecord] = []
-
-    def add_level(name: str, source: Word) -> Word:
+    for level in range(depth + 1):
+        if level and len(current) < min_level_length:
+            break
+        name = chain if level else "g"
         m = named(name)
         try:
-            result = decode(m, source)
+            result = decode(m, current)
         except DecodeError as exc:
-            so_far = DecompositionCertificate(cls, tuple(levels),
-                                              max(len(levels) - 1, 0))
             raise DecompositionError(
-                f"{name}-decode failed at level {len(levels)}: {exc}",
-                so_far) from exc
+                f"{name}-decode failed at level {level}: {exc}",
+                DecompositionCertificate(cls, tuple(levels))) from exc
         trim = _tail_trim(m, result)
-        trimmed = result.preimage[:len(result.preimage) - trim]
-        proper = forgiving_scan(trimmed, front_trim_bound)
-        anti = (forgiving_scan(trimmed, front_trim_bound, mirrored=True)
+        current = result.preimage[:len(result.preimage) - trim]
+        proper = forgiving_scan(current, front_trim_bound)
+        anti = (forgiving_scan(current, front_trim_bound, mirrored=True)
                 if chain == "h" else None)
         levels.append(LevelRecord(name, result, trim, proper, anti))
-        return trimmed
-
-    current = add_level("g", work)
-    for _ in range(depth):
-        if len(current) < min_level_length:
-            break
-        current = add_level(chain, current)
-    return DecompositionCertificate(cls, tuple(levels), len(levels) - 1)
+    return DecompositionCertificate(cls, tuple(levels))
 
 
 def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
@@ -330,7 +327,9 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
     Before any image is built, LengthLimitError is raised when
     ``min_length`` exceeds ``limit`` or when a word of the first build
     (the depth-fold image of the 4-letter seed prefix, then g of it)
-    would; their lengths follow from the seed prefix's letter counts.
+    would; their lengths follow from the seed prefix's letter counts,
+    carried one level at a time, so the refusal comes at the first level
+    over ``limit`` and costs the same at any depth beyond it.
     The word is then built once, from the shortest fixed-point prefix whose
     letters' images g(inner^depth(a)) reach ``min_length`` letters, and
     level by level as the module docstring describes.
@@ -341,16 +340,14 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
     if min_length < 0:
         raise ValueError("length must be non-negative")
     g = named("g")
-    if tag in (CaseTag.F, CaseTag.FBAR):
-        inner, seed = named("f"), 0
-    else:
-        inner, seed = named("h"), 1
+    inner, seed = (named("h"), 1) if tag in _REVERSED else (named("f"), 0)
     if limit is not None:
         if min_length > limit:
             raise LengthLimitError(
                 f"generate length {min_length} exceeds the limit {limit}")
         counts = parikh(inner.iterate_prefix(seed, 4))
-        for m in [inner] * depth + [g]:
+        for k in range(depth, -1, -1):
+            m = inner if k else g
             counts = [sum(c * img.letters.count(b)
                           for c, img in zip(counts, m.images))
                       for b in range(m.target_alphabet)]
@@ -366,12 +363,10 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
     ends = [0, *accumulate(tables[-1][b] for b in prefix.letters)]
     w = prefix[:bisect_left(ends, min_length)]  # the shortest that reaches
     total = ends[len(w)]    # the length w builds to, the same at each level
-    for m, table in zip([inner] * depth + [g], reversed(tables)):
+    for k in range(depth, -1, -1):
         # drop the last letters whose images the answer does not reach
-        while w and total - table[w[-1]] >= min_length:
-            total -= table[w[-1]]
+        while w and total - tables[k][w[-1]] >= min_length:
+            total -= tables[k][w[-1]]
             w = w[:-1]
-        w = m.apply(w)
-    if tag in (CaseTag.FBAR, CaseTag.FBARREV):
-        w = complement(w)
-    return w[:min_length]
+        w = (inner if k else g).apply(w)
+    return (complement(w) if tag in _BARRED else w)[:min_length]

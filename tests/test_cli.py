@@ -244,6 +244,13 @@ def test_decompose_json(capsys):
     assert payload["results"]["depth_achieved"] == 2
 
 
+def test_decompose_any_depth_stops_at_the_level_floor(capsys):
+    code, out, _ = run(capsys, "decompose", "--depth", str(10**19),
+                       "--input", "image:g:fixpoint:f:0:300")
+    assert code == 0
+    assert "depth_achieved: 3" in out
+
+
 def test_generate_then_classify(tmp_path, capsys):
     code, out, _ = run(capsys, "generate", "--case", "FbarRev", "--depth", "2",
                        "--length", "1500")
@@ -266,6 +273,8 @@ def test_generate_then_classify(tmp_path, capsys):
     ("Frev", ["--depth", "7", "--length", "100", "--limit", "15000"], 19423),
     ("FbarRev", ["--depth", "7", "--length", "100", "--limit", "19422"],
      19423),
+    # more levels than an index-sized integer can count
+    ("F", ["--depth", str(10**19), "--length", "100"], 31572),
 ])
 def test_generate_refuses_before_building(capsys, case, argv, length):
     with mock.patch.object(Morphism, "iterate_prefix", autospec=True,

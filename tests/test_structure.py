@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -11,7 +12,7 @@ from rotewords import (CaseTag, ClassificationError, DecodeError,
                        generate_case_word, h_decode, is_power_free, named,
                        parse_word, reverse)
 
-from rotewords import properness
+from rotewords import properness, structure
 from rotewords.repetitions import _runs
 
 from oracles import all_words
@@ -34,6 +35,8 @@ def test_factor_sets_are_the_four_transforms():
     flip = bytes.maketrans(b"\x00\x01", b"\x01\x00")
     assert FACTOR_SETS[CaseTag.FBAR] == frozenset(b.translate(flip) for b in base)
     assert FACTOR_SETS[CaseTag.FREV] == frozenset(b[::-1] for b in base)
+    assert FACTOR_SETS[CaseTag.FBARREV] == frozenset(
+        b[::-1].translate(flip) for b in base)
     assert len({frozenset(s) for s in FACTOR_SETS.values()}) == 4
 
 
@@ -222,6 +225,23 @@ def test_decompose_decode_error_carries_partial():
     assert partial is not None
     assert partial.factor_class.tag is CaseTag.F
     assert [lv.morphism for lv in partial.levels] == ["g", "f"]
+    assert partial.depth_achieved == 1
+
+
+def test_decompose_g_decode_error_carries_empty_partial():
+    # no word whose length-4 factors fit a class holds 111, so g parses
+    # every one of them; a failing decoder stands in for a g-level failure
+    w = generate_case_word("F", 1, 300)
+    with mock.patch.object(structure, "decode",
+                           side_effect=DecodeError("not an image", 0)):
+        with pytest.raises(DecompositionError, match="g-decode failed at "
+                                                     "level 0") as err:
+            decompose(w, 2)
+    partial = err.value.partial
+    assert partial.factor_class.tag is CaseTag.F
+    assert partial.levels == ()
+    assert partial.depth_achieved == 0
+    assert partial.to_json()["depth_achieved"] == 0
 
 
 def test_forgiven_front_keeps_violation_detail_in_level_coordinates():
@@ -301,6 +321,19 @@ def test_generate_limit_names_the_first_word_over_it(case, depth, limit,
         generate_case_word(case, depth, 100, limit=limit)
     last = {7: 19423, 8: 59815}[depth]    # g of the depth-fold image
     assert len(generate_case_word(case, depth, 100, limit=last)) == 100
+
+
+def test_generate_refusal_holds_no_list_of_levels():
+    # the refusal holds one level's letter counts at a time, whatever the
+    # depth
+    tracemalloc.start()
+    try:
+        with pytest.raises(LengthLimitError, match="builds a word of 31572 "):
+            generate_case_word("F", 10**7, 100, limit=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 1024 * 1024
 
 
 def test_generate_depths_are_prefix_compatible():
