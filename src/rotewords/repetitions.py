@@ -21,19 +21,19 @@ hit j names a period j - i, so a sample costs one find per hit, not one
 compare per period.  As s >= q, hits in a row lie in one run: the scan
 walks them, then reads both ends off one mismatch mask over the failed
 samples on either side (XOR of the shifted byte strings as big ints), in
-period order and only once the run is asked for.  With about 2n/L samples per octave and log n octaves this is near n log n
-unless runs abound.  One need per octave is exact because every caller's
-need never falls as p grows (``max_factor_exponent``'s follows its best
-exponent so far, which only rises): need(P) finds every run a later period
-asks for, and each run is kept if it reaches need(p), read once, on
-reaching p.  Shorter strides read each period off one full mask with a
-regex.
+period order and only once the run is asked for.  With about 2n/L samples
+per octave and log n octaves this is near n log n unless runs abound.
+One need per octave is exact because every caller's need never falls as p
+grows (``max_factor_exponent``'s follows its best exponent so far, which
+only rises): need(P) finds every run a later period asks for, and a run is
+kept if it reaches need(p), read anew after each run.  Shorter strides
+read each period off one full mask with ``bytes.find``.
 """
 
 from __future__ import annotations
 
 import operator
-import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partialmethod
@@ -126,15 +126,20 @@ def _mismatch_mask(data: bytes, p: int) -> bytes:
 
 # From the period whose stride ceil(need/2) reaches this, _runs scans a
 # whole octave of periods at once; below it one mask per period costs less.
-_BAND_STRIDE = 16
+_BAND_STRIDE = 24
+_ZERO_ONE = bytes([0] + [1] * 255)      # translate: nonzero bytes to 1
 
 
 def _agreement_runs(data: bytes, p: int, min_len: int):
     """Yield, left to right, the maximal runs [a, b) with b - a >= min_len
-    and data[i] == data[i+p] for every a <= i < b, read off one mask of
-    the period with a regex."""
-    for hit in re.finditer(b"\x00{%d,}" % min_len, _mismatch_mask(data, p)):
-        yield hit.start(), hit.end()
+    and data[i] == data[i+p] for every a <= i < b, read with ``bytes.find``
+    off one mask of the period, 0 where letters agree and 1 elsewhere.  A
+    min_len sent in after a run holds for the runs after it."""
+    mask, b = _mismatch_mask(data, p).translate(_ZERO_ONE), -1
+    while (a := mask.find(bytes(min_len), b + 1)) >= 0:
+        b = mask.find(1, a + min_len)
+        b = len(mask) if b < 0 else b
+        min_len = (yield a, b) or min_len
 
 
 def _band_runs(data: bytes, low: int, top: int, min_len: int):
@@ -160,7 +165,7 @@ def _band_runs(data: bytes, low: int, top: int, min_len: int):
             p = j - i
             if reach.get(p, 0) <= i:
                 k = i + q
-                while k + p + s <= n and data[k:k + s] == data[k + p:k + p + s]:
+                while data.startswith(data[k:k + s], k + p):
                     k += q
                 reach[p] = k
                 walks.append((p, i, k))
@@ -179,24 +184,28 @@ def _runs(data: bytes, need):
     """Yield (p, a, b) for each maximal run [a, b) of period p with
     b - a >= need(p), for p = 1, 2, ... until p + need(p) > len(data).
 
-    need(p) is read at most once, on reaching p; callers keep need(p) from
-    falling as p grows, so a band's first need finds every run its later
-    periods ask for, and no period past the stop can hold such a run."""
+    need(p) is read on reaching p and after each run yielded there.  As
+    callers keep it from falling, a band's first need finds every run its
+    later periods ask for, and no period past the stop can hold one."""
     p, k = 1, need(1)
     while p + k <= len(data):
         if (k + 1) // 2 < _BAND_STRIDE:
-            band = ((p, a, b) for a, b in _agreement_runs(data, p, k))
-            top = p + 1
+            runs, top = _agreement_runs(data, p, k), p + 1
+            with suppress(StopIteration):
+                a, b = next(runs)
+                while True:
+                    yield p, a, b
+                    a, b = runs.send(need(p))
         else:
             top = min(2 * p, len(data) - k + 1)
-            band = _band_runs(data, p, top, k)
-        for run in band:
-            if run[0] != p:
-                p, k = run[0], need(run[0])
-                if p + k > len(data):
-                    return
-            if run[2] - run[1] >= k:
-                yield run
+            for run in _band_runs(data, p, top, k):
+                if run[0] != p:
+                    p, k = run[0], need(run[0])
+                    if p + k > len(data):
+                        return
+                if run[2] - run[1] >= k:
+                    yield run
+                    k = need(p)
         p, k = top, need(top)
 
 
@@ -209,7 +218,8 @@ def _normalize_threshold(threshold) -> Fraction:
     return t
 
 
-def is_power_free(w: Word, threshold, strict: bool) -> RepetitionWitness | None:
+def is_power_free(w: Word, threshold,
+                  strict: bool) -> RepetitionWitness | None:
     """Check whether every factor's exponent stays below the threshold.
 
     Returns None iff w avoids the given powers: every factor has exponent
@@ -259,18 +269,18 @@ def max_factor_exponent(w: Word) -> tuple[Exponent, RepetitionWitness]:
     Ties are broken by smallest start index, then shortest length.  A
     factor of maximal exponent is a whole maximal run (extending it by one
     letter of its period would raise its exponent), so one pass over the
-    runs that at least tie the best so far finds the maximum and the
-    tie-break witness together.
+    first run of each period that ties the best so far, and the runs after
+    it that beat it, finds the maximum and the tie-break witness together.
     """
     if not w:
         raise ValueError("the empty word has no factors")
-    length, period, start = 1, 1, 0
+    length, period, start, last = 1, 1, 0, 0
 
-    def need(p):        # least run length whose factor ties length/period
-        return max(1, -((p * (period - length)) // period))
+    def need(p):    # least run length to tie, or to beat at a period seen
+        return max(1, -((p * (period - length)) // period) + (p == last))
 
-    for p, a, b in _runs(w.letters, need):
-        span = b - a + p
-        if (span * period, -a, -span) > (length * p, -start, -length):
-            length, period, start = span, p, a
+    for last, a, b in _runs(w.letters, need):
+        span = b - a + last
+        if (span * period, -a, -span) > (length * last, -start, -length):
+            length, period, start = span, last, a
     return Exponent(length, period), RepetitionWitness(start, length, period)

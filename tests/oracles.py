@@ -255,13 +255,15 @@ def brute_longest_avoiding(forbidden: list[bytes], target: int):
 def brute_runs(data: bytes, need):
     """(p, a, b) for each maximal run [a, b) of period p with b - a >=
     need(p), for p = 1, 2, ... until p + need(p) > len(data), each period's
-    runs from brute_agreement_runs.  need(p) is read once, on reaching p,
-    as ``repetitions._runs`` reads it, so a need that reads state the
-    consumer updates sees the same state."""
+    runs from brute_agreement_runs.  need(p) is read on reaching p and
+    again after each run yielded at p, as ``repetitions._runs`` reads it,
+    so a need that reads state the consumer updates sees the same state."""
     p = 1
     while p + (k := need(p)) <= len(data):
         for a, b in brute_agreement_runs(data, p, k):
-            yield p, a, b
+            if b - a >= k:
+                yield p, a, b
+                k = need(p)
         p += 1
 
 

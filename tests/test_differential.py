@@ -10,7 +10,9 @@ those tests run with the band cutover at 1, where every period is banded,
 and at 10**9, where none is.
 """
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -18,11 +20,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError, Word,
-                       classify_by_length4, complexity_profile, decode,
-                       find_dominated_xyxyx, forgiving_scan,
-                       generate_case_word, is_power_free, max_factor_exponent,
-                       named, smallest_period)
+from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError,
+                       RepetitionWitness, Word, classify_by_length4,
+                       complexity_profile, decode, find_dominated_xyxyx,
+                       forgiving_scan, generate_case_word, is_power_free,
+                       max_factor_exponent, named, smallest_period)
 from rotewords import repetitions
 from rotewords.repetitions import (_BAND_STRIDE, _agreement_runs, _band_runs,
                                    _runs)
@@ -161,20 +163,23 @@ def noisy_periodic(draw):
 def scan_runs(runs, data: bytes, kind: str):
     """Every (p, a, b) that ``runs`` yields for one of the callers' needs.
     "tying" is max_factor_exponent's: it reads the best exponent so far,
-    which this loop raises as runs arrive."""
-    best = [1, 1]       # length, period
+    which this loop raises as runs arrive, and the period of the last run,
+    past which a tie at that period no longer counts."""
+    best = [1, 1, 0]       # length, period, period of the last run
     need = {
         "phase 1": lambda p: p + p // 2 + 1,                # xyxyx, x > y
         "5/2+": lambda p: (5 * p) // 2 + 1 - p,             # is_power_free
         "5/2": lambda p: (5 * p - 1) // 2 + 1 - p,          # not strict
         "2+": lambda p: p + 1,
-        "tying": lambda p: max(1, -((p * (best[1] - best[0])) // best[1])),
+        "tying": lambda p: max(1, -((p * (best[1] - best[0])) // best[1])
+                               + (p == best[2])),
     }[kind]
     out = []
     for p, a, b in runs(data, need):
         out.append((p, a, b))
+        best[2] = p
         if (b - a + p) * best[1] > best[0] * p:
-            best[:] = [b - a + p, p]
+            best[:2] = [b - a + p, p]
     return out
 
 
@@ -191,14 +196,15 @@ def test_runs_match_brute_force(data, kind, cut):
 G_OF_F = named("g").apply(named("f").iterate_prefix(0, 2500)).letters[:2500]
 
 
-@pytest.mark.parametrize("cut", [1, _BAND_STRIDE, 10**9])
+# at the inner cutover 16 the phase-1 and 5/2+ needs band from p = 20
+@pytest.mark.parametrize("cut", [1, 16, 10**9])
 @pytest.mark.parametrize("data", [G_OF_F, b"\0\1" * 600,
                                   stretch_in_filler(40, 20, 300, 5)],
                          ids=["g-of-f", "period-2", "period-40"])
 @pytest.mark.parametrize("kind", ["phase 1", "5/2+", "tying"])
 def test_runs_read_need_once_per_period(data, kind, cut):
-    # need(p) is read at most once for each p, and in increasing p: the
-    # reads are strictly increasing
+    # need(p) is read on reaching p, before any run of p is yielded, and at
+    # most once more for each run yielded at p; the reads never go down in p
     reads = []
 
     def need(p):
@@ -208,9 +214,54 @@ def test_runs_read_need_once_per_period(data, kind, cut):
     inner = {"phase 1": lambda p: p + p // 2 + 1,
              "5/2+": lambda p: (5 * p) // 2 + 1 - p,
              "tying": lambda p: max(1, p // 2)}[kind]
+    yielded = Counter()
     with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
-        list(_runs(data, need))
-    assert reads == sorted(set(reads))
+        for p, _, _ in _runs(data, need):
+            assert reads[-1] == p
+            yielded[p] += 1
+    assert reads == sorted(reads)
+    assert all(n <= 1 + yielded[p] for p, n in Counter(reads).items())
+
+
+@pytest.mark.parametrize("cut", [1, _BAND_STRIDE, 10**9])
+@pytest.mark.parametrize("word, runs", [
+    (Word(G_OF_F, 3), 4), (named("mu").iterate_prefix(0, 2500), 18)],
+    ids=["g-of-f", "thue-morse"])
+def test_max_factor_exponent_sees_one_run_per_period(word, runs, cut):
+    # a tie at a period already seen starts later and loses, so need turns
+    # strict there: 4 and 18 runs reach the loop, where reading need once
+    # per period handed it 1424 and 2069
+    seen, scan = [], repetitions._runs
+
+    def spy(data, need):
+        for run in scan(data, need):
+            seen.append(run)
+            yield run
+
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut), \
+            mock.patch.object(repetitions, "_runs", spy):
+        max_factor_exponent(word)
+    assert len(seen) == runs == len({p for p, _, _ in seen})
+
+
+@pytest.mark.parametrize("cut", [1, _BAND_STRIDE, 10**9])
+@pytest.mark.parametrize("n", [2500, 20000])
+def test_threshold_one_not_strict_asks_for_empty_runs(n, cut):
+    # need(1) is 0 there, and the first letter is the witness
+    data = named("g").apply(named("f").iterate_prefix(0, n)).letters[:n]
+    with mock.patch.object(repetitions, "_BAND_STRIDE", cut):
+        witness = is_power_free(Word(data, 3), 1, strict=False)
+    assert witness == RepetitionWitness(0, 1, 1)
+
+
+def test_agreement_runs_with_min_len_zero_end():
+    # an empty needle is found at every position: the reader must still
+    # move past each run's end, so it yields at most one run for each of
+    # the mask's n - 3 positions and one at its end
+    runs = list(itertools.islice(_agreement_runs(G_OF_F, 3, 0), len(G_OF_F)))
+    assert len(runs) <= len(G_OF_F) - 2
+    assert [(a, b) for a, b in runs if a < b] == brute_agreement_runs(
+        G_OF_F, 3, 1)
 
 
 thresholds = st.builds(Fraction, st.integers(1, 13), st.integers(1, 4)).filter(
