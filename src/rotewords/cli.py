@@ -70,7 +70,7 @@ def _read_word_line(path: str, limit: int | None) -> str:
 
 def _infer_word(text: str, alphabet_size: int | None) -> Word:
     if alphabet_size is None:
-        biggest = max((int(c) for c in set(text) if c.isdigit()), default=0)
+        biggest = next((int(c) for c in "987654321" if c in text), 0)
         alphabet_size = max(2, biggest + 1)
     return parse_word(text, alphabet_size)
 

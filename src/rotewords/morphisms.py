@@ -14,6 +14,9 @@ named morphisms used throughout the package:
 
 ``tau == g.compose(sigma)`` and ``theta^2 == sigma_inv.h.sigma`` hold on
 letters; both identities are exercised by the verification command.
+Images are built with no loop over letters: one translate turns each
+letter a into the placeholder byte 0x80 + a, which no letter is, and one
+replace per letter puts its image in (``_substitute``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .words import AlphabetError, Word, parse_word
+
+_PLACEHOLDERS = bytes(range(0x80, 0x100)) * 2  # letter a -> byte 0x80 + a
+_LETTERS = b"\xff" * 0x80 + bytes(range(0x80))  # and back; a letter -> 0xFF
+
+
+def _substitute(images: Sequence[Word], data: bytes) -> bytes:
+    """The images of data's letters, concatenated."""
+    data = data.translate(_PLACEHOLDERS)
+    for a, img in enumerate(images):
+        data = data.replace(_PLACEHOLDERS[a:a + 1], img.letters)
+    return data
 
 
 @dataclass(frozen=True)
@@ -62,8 +76,7 @@ class Morphism:
             raise AlphabetError(
                 f"word is over a {w.alphabet_size}-letter alphabet, morphism "
                 f"expects {self.source_alphabet}")
-        imgs = [im.letters for im in self.images]
-        return Word(b"".join(imgs[b] for b in w.letters), self.target_alphabet)
+        return Word(_substitute(self.images, w.letters), self.target_alphabet)
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """self after inner: letter a maps to self(inner(a))."""
@@ -95,13 +108,12 @@ class Morphism:
         if len(img) < 2 or img[0] != seed:
             raise ValueError(
                 f"morphism is not prolongable on {seed}: image {self.images[seed]}")
-        imgs = [im.letters for im in self.images]
-        longest = max(map(len, imgs))
+        longest = max(map(len, self.images))
         out, i = bytearray(img), 1
         while len(out) < min_length:
             # the next letters' images fit in what is missing, or one image
             j = min(i + max(1, (min_length - len(out)) // longest), len(out))
-            out += b"".join(map(imgs.__getitem__, out[i:j]))
+            out += _substitute(self.images, out[i:j])
             i = j
         return Word(bytes(out[:min_length]), self.source_alphabet)
 

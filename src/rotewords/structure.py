@@ -25,12 +25,15 @@ an image, reading its grammar off the morphism's images:
 - the margin is the longest image length minus one (2 for g, 3 for f, h).
 
 Letters before the first start letter are dropped, at most the margin of
-them.  The rest splits at each marker into blocks (one marker per image,
-at a fixed end, makes this the only parse), each an image, except that
-the last may be a proper prefix of one, cut off by the end of the word.
-Re-encoding the preimage and re-attaching both margins reproduces
-the input exactly.  Morphisms without a start letter or marker (mu,
-theta, sigma, sigma_inv) are not decoded.
+them.  The rest is blocks, one per marker, each an image but the last,
+which may be a proper prefix of one cut off by the end of the word: that
+tail is split off first.  Each image, longest first, is then replaced by
+its placeholder byte 0x80 + a, and one translate reads the preimage off
+the placeholders.  An image holds its marker once, at a fixed end, so no
+match crosses a block, and a block that is no image leaves a letter that
+locates it.  Re-encoding the preimage and re-attaching both margins
+reproduces the input exactly.  Morphisms without a start letter or
+marker (mu, theta, sigma, sigma_inv) are not decoded.
 
 ``decompose`` chains decodes through g and then f or h to the requested
 depth and attaches a properness report to every ternary level.  Structure
@@ -52,10 +55,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, product
 
-from .morphisms import Morphism, named
+from .morphisms import _LETTERS, _PLACEHOLDERS, Morphism, named
 from .properness import PropernessReport, forgiving_scan
 from .words import (AlphabetError, LengthLimitError, Record, Word, _FLIP,
                     _json, complement, parikh, parse_word)
@@ -79,7 +82,7 @@ FACTOR_SETS: dict[CaseTag, frozenset[bytes]] = {
                    .translate(_FLIP if tag in _BARRED else None)
                    for t in _BASE_FACTORS)
     for tag in CaseTag}
-_BINARY_4 = tuple(bytes(f) for f in product((0, 1), repeat=4))
+_BINARY_4 = tuple(bytes(f) for f in product((0, 1), repeat=4))  # by code
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,10 @@ def classify_by_length4(w: Word) -> FactorClass:
         raise AlphabetError("classification applies to binary words")
     if len(w) < 4:
         raise ValueError("classification needs at least 4 letters")
-    observed = {f for f in _BINARY_4 if f in w.letters}
+    # byte t is 8x[t-3] + 4x[t-2] + 2x[t-1] + x[t], the code of a window
+    windows = (int.from_bytes(w.letters, "big") * 0x1020408).to_bytes(
+        len(w) + 3, "big")[3:len(w)]
+    observed = {f for code, f in enumerate(_BINARY_4) if code in windows}
     for tag in CaseTag:
         if observed == FACTOR_SETS[tag]:
             return FactorClass(tag=tag)
@@ -164,21 +170,18 @@ class DecodeResult(Record):
     truncated_suffix: int
 
 
-def _grammar(m: Morphism) -> tuple[bytes, bytes, bool, dict[bytes, int]]:
-    """(start letter, marker, whether the marker comes first, image bodies).
-
-    An image body is the image without its marker; the bodies name the
-    letters they encode.
-    """
+@cache
+def _grammar(m: Morphism) -> tuple[bytes, bytes, bool, dict[bytes, bytes]]:
+    """(start, marker, marker first?, image -> placeholder, longest first)."""
     images = [img.letters for img in m.images]
     start = images[0][:1]
     if start and all(img.startswith(start) for img in images):
         for first, marker in ((True, start), (False, images[0][-1:])):
             if all((img.startswith if first else img.endswith)(marker)
                    and img.count(marker) == 1 for img in images):
-                return start, marker, first, {
-                    img[1:] if first else img[:-1]: a
-                    for a, img in enumerate(images)}
+                codes = {img: _PLACEHOLDERS[a:a + 1] for a, img in sorted(
+                    enumerate(images), key=lambda e: -len(e[1]))}
+                return start, marker, first, codes
     raise ValueError(f"{m!r} cannot be decoded: its images need a common "
                      f"first letter and a letter that occurs once in each, "
                      f"always at the same end")
@@ -191,7 +194,7 @@ def decode(m: Morphism, w: Word) -> DecodeResult:
     Raises ValueError when m has no start letter or no marker, and
     DecodeError when w is not a margin-trimmed image of m.
     """
-    start, mark, first, bodies = _grammar(m)
+    start, mark, first, codes = _grammar(m)
     if w.alphabet_size != m.target_alphabet:
         raise AlphabetError(f"decoding {m!r} expects a word over "
                             f"{m.target_alphabet} letters")
@@ -200,21 +203,22 @@ def decode(m: Morphism, w: Word) -> DecodeResult:
     if dropped > max(map(len, m.images)) - 1:
         raise DecodeError(f"leading segment of {dropped} letters is too long "
                           f"to be the tail of an image", 0)
-    pieces = data[dropped:].split(mark)
-    if first:
-        del pieces[0]                   # empty: the rest begins with the marker
-        tail = b"" if not pieces or pieces[-1] in bodies else mark + pieces.pop()
-    else:
-        tail = pieces.pop()             # the letters after the last marker
-    letters = list(map(bodies.get, pieces))
-    k = letters.index(None) if None in letters else len(pieces)
-    if k < len(pieces) or tail and not any(img.letters.startswith(tail)
-                                           for img in m.images):
-        at = dropped + sum(map(len, pieces[:k])) + k
+    end = max(data.rfind(mark, dropped) + (not first), dropped)
+    if first and data[end:] in codes:
+        end = len(data)
+    coded = data[dropped:end]
+    for img, ph in codes.items():
+        coded = coded.replace(img, ph)
+    letters, tail = coded.translate(_LETTERS), data[end:]
+    if 0xFF in letters or tail and not any(img.startswith(tail)
+                                           for img in codes):
+        bad = (letters + b"\xff").index(0xFF)    # the first letter left
+        at = dropped + sum(coded.count(ph, 0, bad) * len(img)
+                           for img, ph in codes.items())
+        at = data.rfind(mark, 0, at + 1) if first else at
         raise DecodeError(f"block at position {at} is not an image, nor a "
                           f"proper prefix of one ending the word", at)
-    return DecodeResult(Word(bytes(letters), m.source_alphabet), dropped,
-                        len(tail))
+    return DecodeResult(Word(letters, m.source_alphabet), dropped, len(tail))
 
 
 g_decode = partial(decode, named("g"))

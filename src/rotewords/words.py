@@ -4,7 +4,8 @@ A word is an immutable sequence of small integer letters over a fixed
 alphabet {0, ..., k-1}.  Letters are stored as ``bytes`` so that slicing,
 equality, substring search, window hashing and the alphabet check all run
 at C speed: a Word deletes its alphabet's letters with ``bytes.translate``
-and looks for the position of a bad letter only when some letter is left.
+and finds the first bad one with ``bytes.lstrip`` only when some is left,
+as ``parse_word`` does once ASCII digits read as letters and all else 0xFF.
 Every function in this module is pure and safe to call concurrently.
 
 Text I/O renders letters as ASCII digits with no separators ("0121"),
@@ -36,7 +37,7 @@ class LengthLimitError(RuntimeError):
 
 MAX_ALPHABET = 10        # one ASCII digit per letter
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-_FROM_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+_FROM_DIGITS = bytes(b - 48 if 48 <= b < 58 else 0xFF for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -52,9 +53,9 @@ class Word:
         if not 1 <= self.alphabet_size <= MAX_ALPHABET:
             raise AlphabetError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
                                 f"got {self.alphabet_size}")
-        if self.letters.translate(None, bytes(range(self.alphabet_size))):
-            bad = next(i for i, b in enumerate(self.letters)
-                       if b >= self.alphabet_size)
+        ok = bytes(range(self.alphabet_size))
+        if self.letters.translate(None, ok):
+            bad = len(self.letters) - len(self.letters.lstrip(ok))
             raise AlphabetError(
                 f"letter {self.letters[bad]} at position {bad} is outside "
                 f"the {self.alphabet_size}-letter alphabet")
@@ -107,20 +108,17 @@ def word(letters: Iterable[int] | str, alphabet_size: int) -> Word:
 
 def parse_word(text: str, alphabet_size: int) -> Word:
     """Parse a digit string into a Word over the given alphabet."""
-    if text.isascii() and text.isdigit() and alphabet_size <= MAX_ALPHABET:
-        data = text.encode("ascii").translate(_FROM_DIGITS)
-        if not data.translate(None, bytes(range(alphabet_size))):
-            return Word(data, alphabet_size)
-    # Slow path: find the first bad character; Word then checks the size.
-    for i, ch in enumerate(text):
-        if not "0" <= ch <= "9":
-            raise ParseError(f"non-digit character {ch!r} at position {i}", i)
-        d = ord(ch) - 48
-        if d >= alphabet_size:
+    # one byte per character, non-ASCII ones as "?": non-digits read 0xFF
+    data = text.encode("ascii", "replace").translate(_FROM_DIGITS)
+    ok = bytes(range(min(alphabet_size, MAX_ALPHABET)))
+    if data.translate(None, ok):
+        i = len(data) - len(data.lstrip(ok))    # the first bad character
+        if data[i] == 0xFF:
             raise ParseError(
-                f"letter {d} at position {i} is outside the "
-                f"{alphabet_size}-letter alphabet", i)
-    return Word(b"", alphabet_size)
+                f"non-digit character {text[i]!r} at position {i}", i)
+        raise ParseError(f"letter {data[i]} at position {i} is outside the "
+                         f"{alphabet_size}-letter alphabet", i)
+    return Word(data, alphabet_size)    # which checks the alphabet size
 
 
 _FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")

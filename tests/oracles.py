@@ -175,24 +175,34 @@ def brute_report(data: bytes, trim_bound: int, mirrored: bool):
 
 
 def brute_decode(m, w):
-    """(preimage, dropped, truncated) of w under the morphism m, or None.
+    """(preimage, dropped, truncated) of w under the morphism m, or
+    (position, message) of the DecodeError that refuses it.
 
     Drops the letters before the first start letter (the letter every
     image begins with), at most the longest image length minus one of
     them, then tries every parse of the rest into images followed by a
     proper prefix of an image, and keeps the parse that truncates the
-    fewest letters."""
+    fewest letters.  With no parse, the error is at the last position the
+    parses reach where a block can begin: any position for a code whose
+    images end with their one marker (h), and a position holding the start
+    letter for a code whose images begin with it, as a shorter image can
+    match the front of a block there (g, f, tau)."""
     images = [img.letters for img in m.images]
     data = w.letters
     start = images[0][0]
     dropped = next((i for i, c in enumerate(data) if c == start), len(data))
     if dropped > max(len(img) for img in images) - 1:
-        return None
+        return 0, (f"leading segment of {dropped} letters is too long to be "
+                   f"the tail of an image")
+    marker_first = all(img.count(start) == 1 for img in images)
     best = None
+    reached = dropped
 
     def search(i, preimage):
-        nonlocal best
+        nonlocal best, reached
         rest = data[i:]
+        if not marker_first or rest[:1] == bytes([start]):
+            reached = max(reached, i)
         if any(img != rest and img[:len(rest)] == rest for img in images):
             if best is None or len(rest) < best[2]:
                 best = (bytes(preimage), dropped, len(rest))
@@ -201,7 +211,13 @@ def brute_decode(m, w):
                 search(i + len(img), preimage + [a])
 
     search(dropped, [])
-    return best
+    return best or (reached, f"block at position {reached} is not an image, "
+                             f"nor a proper prefix of one ending the word")
+
+
+def brute_apply(m, data: bytes) -> bytes:
+    """The image of data under the morphism m, one letter at a time."""
+    return b"".join(m.images[a].letters for a in data)
 
 
 def brute_fixed_point_prefix(m, seed: int, n: int) -> bytes:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -173,6 +174,24 @@ def test_file_input_refusals(tmp_path, capsys, text, code, message):
                  "--threshold", "2", "--limit", "100")
     assert result[:2] == (code, "")
     assert message in result[2]
+
+
+@pytest.mark.parametrize("source", ["literal", "stdin", "file"])
+def test_unicode_digit_is_a_non_digit_character(tmp_path, capsys,
+                                                monkeypatch, source):
+    # int() does not read the Unicode digit '\u00b2', as it does '\u0663'
+    text = "0110\u00b2"
+    path = tmp_path / "word.txt"
+    path.write_text(text + "\n", encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+    spec = {"literal": f"literal:{text}", "stdin": "-",
+            "file": f"file:{path}"}[source]
+    code, out, err = run(capsys, "classify", "--input", spec)
+    assert (code, out) == (2, "")
+    if source == "file":    # files are read as ASCII, which refuses it first
+        assert "can't decode byte 0xc2 in position 4" in err
+    else:
+        assert err == "error: non-digit character '\u00b2' at position 4\n"
 
 
 def test_file_line_over_the_limit_is_refused_before_it_is_read(tmp_path,

@@ -434,8 +434,8 @@ def test_decode_matches_brute_force(case):
     expected = brute_decode(m, Word(data, m.target_alphabet))
     try:
         result = decode(m, Word(data, m.target_alphabet))
-    except DecodeError:
-        assert expected is None
+    except DecodeError as exc:
+        assert expected == (exc.position, str(exc))
         return
     assert expected == (result.preimage.letters, result.dropped_prefix,
                         result.truncated_suffix)

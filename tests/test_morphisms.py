@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rotewords import (AlphabetError, Morphism, Word, equal_on_letters,
-                       named, parikh, parse_morphism, parse_word, reverse)
+from rotewords import (NAMED_MORPHISMS, AlphabetError, Morphism, Word,
+                       equal_on_letters, named, parikh, parse_morphism,
+                       parse_word, reverse)
 
-from oracles import brute_fixed_point_prefix
+from oracles import brute_apply, brute_fixed_point_prefix
 
 
 def w3(text):
@@ -97,6 +100,28 @@ def test_iterate_prefix_matches_whole_iterates(name, seed):
         prefix = m.iterate_prefix(seed, n)
         assert prefix.letters == brute_fixed_point_prefix(m, seed, n)
         assert prefix.alphabet_size == m.source_alphabet
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(NAMED_MORPHISMS), st.sampled_from(NAMED_MORPHISMS),
+       st.binary(max_size=40), st.integers(0, 300))
+@example("g", "f", b"", 0)
+def test_apply_compose_and_iterate_match_brute_force(name, inner_name, raw,
+                                                     n):
+    m, inner = named(name), named(inner_name)
+    k = m.source_alphabet
+    data = bytes(b % k for b in raw)
+    assert m.apply(Word(data, k)) == Word(brute_apply(m, data),
+                                          m.target_alphabet)
+    if inner.target_alphabet == k:
+        assert m.compose(inner).images == tuple(
+            Word(brute_apply(m, img.letters), m.target_alphabet)
+            for img in inner.images)
+    for seed in range(k):
+        img = m.images[seed].letters
+        if m.target_alphabet == k and len(img) > 1 and img[0] == seed:
+            assert (m.iterate_prefix(seed, n).letters
+                    == brute_fixed_point_prefix(m, seed, n))
 
 
 def test_apply_compose_consistency():
