@@ -35,7 +35,7 @@ from .search import longest_avoiding, run_reference_table
 from .structure import (CaseTag, _grammar, classify_by_length4, decode,
                         decompose, generate_case_word)
 from .words import (LengthLimitError, Word, complement, complexity_profile,
-                    parse_word)
+                    digit_alphabet, parse_word)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -48,7 +48,8 @@ class SourceError(ValueError):
 
 
 def _read_word_line(path: str, limit: int | None) -> str:
-    stream = sys.stdin if path == "-" else open(path, "r", encoding="ascii")
+    stream = sys.stdin if path == "-" else open(
+        path, "r", encoding="utf-8", errors="replace")
     size = sys.maxsize if limit is None else min(limit + 1, sys.maxsize)
     text = word = ""
     try:
@@ -70,8 +71,7 @@ def _read_word_line(path: str, limit: int | None) -> str:
 
 def _infer_word(text: str, alphabet_size: int | None) -> Word:
     if alphabet_size is None:
-        biggest = next((int(c) for c in "987654321" if c in text), 0)
-        alphabet_size = max(2, biggest + 1)
+        alphabet_size = max(2, digit_alphabet(text))
     return parse_word(text, alphabet_size)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .words import AlphabetError, Word, parse_word
+from .words import AlphabetError, Word, digit_alphabet, parse_word
 
 _PLACEHOLDERS = bytes(range(0x80, 0x100)) * 2  # letter a -> byte 0x80 + a
 _LETTERS = b"\xff" * 0x80 + bytes(range(0x80))  # and back; a letter -> 0xFF
@@ -59,7 +59,7 @@ class Morphism:
                      target_alphabet: int | None = None) -> "Morphism":
         """Build from digit strings; target alphabet inferred if omitted."""
         if target_alphabet is None:
-            target_alphabet = max((int(c) for s in images for c in s), default=0) + 1
+            target_alphabet = digit_alphabet("".join(images))
         imgs = tuple(parse_word(s, target_alphabet) for s in images)
         return cls(len(images), target_alphabet, imgs)
 

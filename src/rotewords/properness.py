@@ -12,8 +12,9 @@ an agreement run of length at least p + p//2 + 1.  The detector therefore
 first collects the runs of exponent above 5/2, from ``repetitions._runs``;
 words whose factors all have exponent at most 5/2 produce no candidates at
 all and are dismissed in this first phase.  Only the surviving stretches are
-enumerated, in tie-break order, with O(1) Parikh comparisons against
-prefix counts.
+enumerated, in tie-break order.  At each start of a stretch, x dominates
+from some least length on, which a bisection of the prefix counts finds,
+and that least x is the only candidate there that can matter.
 
 ``forgiving_scan`` is the one checker behind ``is_proper``,
 ``is_antiproper`` and the decomposition reports, and returns the
@@ -28,6 +29,7 @@ The length guard sits only on the three whole-word entry points,
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -104,39 +106,48 @@ def _guard(u: Word, max_length: int | None) -> None:
             f"input of length {len(u)} exceeds the {max_length}-letter guard")
 
 
-def _xyxyx_search(data: bytes, k: int):
-    """Phase 1 of the xyxyx search, and the means for phase 2.
+def _xyxyx_search(data: bytes, k: int, window):
+    """Every candidate (s, x, y) - a factor of shape xyxyx with x > y - whose
+    x-piece strictly Parikh-dominates its y-piece, in tie-break order, but
+    only the first in x order of each stretch and start, and only those
+    inside the window [lo, hi) that ``window()`` returns, read at each start.
 
-    Returns an iterator over every candidate (s, x, y) - a factor of shape
-    xyxyx with x > y - in tie-break order, and a test of whether a
-    candidate's x-piece strictly Parikh-dominates its y-piece; ``((), None)``,
-    with no prefix counts built, when no run in ``data`` can host one.
+    The first dominated x at a start is the only one that can matter: one
+    ending past hi ends past every later window, and once that candidate
+    is reported or forgiven, every later x there ends later (3x + 2y =
+    2p + x) inside a forgiven start.  An empty tuple, with no prefix
+    counts built, when no run in ``data`` can host a candidate.
     """
     # Phase 1: per period p, the runs of length >= p + x_min, where
     # x_min = p//2 + 1 is the least x with x > y.
     stretches = list(_runs(data, lambda p: p + p // 2 + 1))
     if not stretches:
-        return (), None
+        return ()
 
-    def candidates(p: int, a: int, b: int):
-        x_min = p // 2 + 1
-        for s in range(a, b - p - x_min + 1):
-            for x in range(x_min, min(p, (b - s) - p) + 1):
-                yield (s, x, p - x)
-
-    # Phase 2: dominance tests against prefix letter counts.
+    # Phase 2: prefix letter counts.  Every candidate has x >= p//2 + 1 >
+    # p - x = y, so the pieces never share a Parikh vector, and x
+    # dominates iff 2 * row[s + x] >= row[s] + row[s + p] for every
+    # letter's row: this grows with x, so the least x is a bisection.
     prefix = []
     for c in range(k):
         marks = data.translate(bytes(c) + b"\1" + bytes(255 - c))  # 1 at c
         prefix.append(list(accumulate(marks, initial=0)))
 
-    # Every candidate has x >= p//2 + 1 > p - x = y, so the pieces never
-    # share a Parikh vector and componentwise >= is strict dominance.
-    def dominated(s: int, x: int, y: int) -> bool:
-        return all(row[s + x] - row[s] >= row[s + x + y] - row[s + x]
-                   for row in prefix)
+    def candidates(p: int, a: int, b: int):
+        x_min, s = p // 2 + 1, a
+        while True:
+            lo, hi = window()
+            s = max(s, lo)
+            top = min(p, b - s - p, hi - s - 2 * p)     # the largest x
+            if top < x_min:     # and smaller at every later start
+                return
+            x = max(bisect_left(row, (row[s] + row[s + p] + 1) // 2,
+                                s + x_min, s + top + 1) for row in prefix) - s
+            if x <= top:
+                yield s, x, p - x
+            s += 1
 
-    return heapq.merge(*(candidates(*st) for st in stretches)), dominated
+    return heapq.merge(*(candidates(*st) for st in stretches))
 
 
 def find_dominated_xyxyx(u: Word, *,
@@ -148,10 +159,9 @@ def find_dominated_xyxyx(u: Word, *,
     y length.  y may be empty; x may not.
     """
     _guard(u, max_length)
-    candidates, dominated = _xyxyx_search(u.letters, u.alphabet_size)
-    for s, x, y in candidates:
-        if dominated(s, x, y):
-            return XyxyxOccurrence(s, x, y)
+    for s, x, y in _xyxyx_search(u.letters, u.alphabet_size,
+                                 lambda: (0, len(u))):
+        return XyxyxOccurrence(s, x, y)
     return None
 
 
@@ -201,11 +211,14 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
             heapq.heapreplace(heap, (pos, length, pat))
 
     offset = trim
-    candidates, dominated = _xyxyx_search(
-        data[:n - trim] if mirrored else data[trim:], 3)
-    for s, x, y in candidates:
+
+    def window():   # what the current trim leaves, in the searched slice
+        return (0, n - trim) if mirrored else (trim - offset, n - offset)
+
+    for s, x, y in _xyxyx_search(
+            data[:n - trim] if mirrored else data[trim:], 3, window):
         start = n - s - 3 * x - 2 * y if mirrored else offset + s
-        if start < trim or not dominated(s, x, y):
+        if start < trim:    # forgiven after its window was read
             continue
         if start >= trim_bound:
             return PropernessReport(n - trim, trim, Violation(

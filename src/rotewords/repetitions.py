@@ -27,7 +27,11 @@ One need per octave is exact because every caller's need never falls as p
 grows (``max_factor_exponent``'s follows its best exponent so far, which
 only rises): need(P) finds every run a later period asks for, and a run is
 kept if it reaches need(p), read anew after each run.  Shorter strides
-read each period off one full mask with ``bytes.find``.
+read each period off one full mask with ``bytes.find``, but only once the
+period passes a cheaper test: the word is packed once into an int of w =
+1, 2 or 4 bits per letter, and a few shifts, ANDs and XORs of it tell
+whether any L = need(p) positions in a row agree at p.  Most periods hold
+no such run and build no mask.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partialmethod
 
-from .words import Record, Word
+from .words import _TO_DIGITS, MAX_ALPHABET, Record, Word
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,8 +130,38 @@ def _mismatch_mask(data: bytes, p: int) -> bytes:
 
 # From the period whose stride ceil(need/2) reaches this, _runs scans a
 # whole octave of periods at once; below it one mask per period costs less.
-_BAND_STRIDE = 24
+_BAND_STRIDE = 48
 _ZERO_ONE = bytes([0] + [1] * 255)      # translate: nonzero bytes to 1
+_FOUR_BITS = [bytes([c]) for c in range(4, MAX_ALPHABET)]
+
+
+def _packed(data: bytes) -> tuple[int, int, int]:
+    """(x, w, ones): ``data`` as one int of w bits per letter, first letter
+    highest, with w = 1, 2 or 4 the fewest that hold every letter (a power
+    of two, so the parse is linear), and ones the low bit of each lane."""
+    w = 4 if any(c in data for c in _FOUR_BITS) else \
+        2 if b"\2" in data or b"\3" in data else 1
+    x = int(data.translate(_TO_DIGITS) or b"0", 1 << w)
+    return x, w, ((1 << w * len(data)) - 1) // ((1 << w) - 1)
+
+
+def _holds_run(packed: tuple[int, int, int], p: int, k: int) -> bool:
+    """Whether some k positions i in a row have data[i] == data[i+p], read
+    off the packed word: lane j of x ^ (x >> w*p) is zero iff position
+    n-p-1-j agrees, and each step z &= z >> w*t keeps the lanes that start
+    t more agreements in a row.  True for k = 0."""
+    x, w, ones = packed
+    d = x ^ (x >> w * p)
+    if w > 1:                   # fold each lane into its low bit
+        d |= d >> 1
+    if w > 2:
+        d |= d >> 2
+    z, span = (ones >> w * p) & ~d, 1
+    while span < k and z:
+        t = min(span, k - span)
+        z &= z >> w * t
+        span += t
+    return z != 0 or k == 0
 
 
 def _agreement_runs(data: bytes, p: int, min_len: int):
@@ -186,17 +220,13 @@ def _runs(data: bytes, need):
 
     need(p) is read on reaching p and after each run yielded there.  As
     callers keep it from falling, a band's first need finds every run its
-    later periods ask for, and no period past the stop can hold one."""
-    p, k = 1, need(1)
+    later periods ask for, and no period past the stop can hold one.  A
+    period below the band is tested on the packed word first, and its mask
+    is built only when some run of need(p) is there."""
+    p, k, packed = 1, need(1), _packed(data)
     while p + k <= len(data):
-        if (k + 1) // 2 < _BAND_STRIDE:
-            runs, top = _agreement_runs(data, p, k), p + 1
-            with suppress(StopIteration):
-                a, b = next(runs)
-                while True:
-                    yield p, a, b
-                    a, b = runs.send(need(p))
-        else:
+        top = p + 1
+        if (k + 1) // 2 >= _BAND_STRIDE:
             top = min(2 * p, len(data) - k + 1)
             for run in _band_runs(data, p, top, k):
                 if run[0] != p:
@@ -206,6 +236,13 @@ def _runs(data: bytes, need):
                 if run[2] - run[1] >= k:
                     yield run
                     k = need(p)
+        elif _holds_run(packed, p, k):
+            runs = _agreement_runs(data, p, k)
+            with suppress(StopIteration):
+                a, b = next(runs)
+                while True:
+                    yield p, a, b
+                    a, b = runs.send(need(p))
         p, k = top, need(top)
 
 

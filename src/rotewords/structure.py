@@ -56,7 +56,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
-from itertools import accumulate, product
+from itertools import product
 
 from .morphisms import _LETTERS, _PLACEHOLDERS, Morphism, named
 from .properness import PropernessReport, forgiving_scan
@@ -364,9 +364,13 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
         tables.append([sum(tables[-1][b] for b in img.letters)
                        for img in inner.images])
     prefix = inner.iterate_prefix(seed, -(-min_length // min(tables[-1])))
-    ends = [0, *accumulate(tables[-1][b] for b in prefix.letters)]
-    w = prefix[:bisect_left(ends, min_length)]  # the shortest that reaches
-    total = ends[len(w)]    # the length w builds to, the same at each level
+
+    def built(m: int) -> int:   # the length prefix[:m] builds to
+        return sum(size * prefix.letters.count(a, 0, m)
+                   for a, size in enumerate(tables[-1]))
+
+    w = prefix[:bisect_left(range(len(prefix) + 1), min_length, key=built)]
+    total = built(len(w))   # the length w builds to, the same at each level
     for k in range(depth, -1, -1):
         # drop the last letters whose images the answer does not reach
         while w and total - tables[k][w[-1]] >= min_length:

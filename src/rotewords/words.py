@@ -106,6 +106,12 @@ def word(letters: Iterable[int] | str, alphabet_size: int) -> Word:
     return Word(bytes(letters), alphabet_size)
 
 
+def digit_alphabet(text: str) -> int:
+    """One more than the largest ASCII digit in ``text``, or 1 when it has
+    none; other characters are left for ``parse_word`` to name."""
+    return next((int(c) for c in "987654321" if c in text), 0) + 1
+
+
 def parse_word(text: str, alphabet_size: int) -> Word:
     """Parse a digit string into a Word over the given alphabet."""
     # one byte per character, non-ASCII ones as "?": non-digits read 0xFF

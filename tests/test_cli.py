@@ -188,10 +188,16 @@ def test_unicode_digit_is_a_non_digit_character(tmp_path, capsys,
             "file": f"file:{path}"}[source]
     code, out, err = run(capsys, "classify", "--input", spec)
     assert (code, out) == (2, "")
-    if source == "file":    # files are read as ASCII, which refuses it first
-        assert "can't decode byte 0xc2 in position 4" in err
-    else:
-        assert err == "error: non-digit character '\u00b2' at position 4\n"
+    assert err == "error: non-digit character '\u00b2' at position 4\n"
+
+
+def test_file_bytes_that_are_not_utf8_are_non_digit_characters(tmp_path,
+                                                               capsys):
+    path = tmp_path / "word.txt"
+    path.write_bytes(b"01\xff10\n")
+    code, out, err = run(capsys, "classify", "--input", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err == "error: non-digit character '\ufffd' at position 2\n"
 
 
 def test_file_line_over_the_limit_is_refused_before_it_is_read(tmp_path,

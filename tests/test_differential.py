@@ -1,8 +1,9 @@
 """Differential tests: the agreement-run readers (one mask per period,
-and the banded scan of an octave of periods) and their period loop, the
-whole-word checks built on them, the properness reports, the block
-decoder, the length-4 classification and the factor-complexity table,
-against the brute-force oracles.
+and the banded scan of an octave of periods), the packed test that lets a
+short period skip its mask, and their period loop, the whole-word checks
+built on them, the properness reports, the block decoder, the length-4
+classification and the factor-complexity table, against the brute-force
+oracles.
 
 The whole-word checks band their periods only once runs of 2 *
 _BAND_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -27,7 +28,7 @@ from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError,
                        max_factor_exponent, named, smallest_period)
 from rotewords import repetitions
 from rotewords.repetitions import (_BAND_STRIDE, _agreement_runs, _band_runs,
-                                   _runs)
+                                   _holds_run, _packed, _runs)
 
 from oracles import (brute_agreement_runs, brute_avoids, brute_best_run,
                      brute_classify, brute_decode, brute_dominated_xyxyx,
@@ -115,6 +116,53 @@ def test_agreement_runs_read_each_run_off_one_mask():
                     for a, b in brute_agreement_runs(data, p, 150)]
     assert len(runs) == 1 and runs[0][2] - runs[0][1] >= 3900
     assert mask.call_count == 1
+
+
+@st.composite
+def packed_case(draw):
+    """A word over 1 to 10 letters, periodic with up to 6 letters redrawn
+    or random, a period p <= n (so n - p may be 0) and a run length k from
+    0 to one past the longest possible."""
+    size = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 200))
+    if draw(st.booleans()):
+        base = draw(letters(size, 1, 12))
+        data = bytearray((base * (n // len(base) + 1))[:n])
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=6)):
+            data[i] = draw(st.integers(0, size - 1))
+    else:
+        data = draw(letters(size, n, n))
+    p = draw(st.integers(1, n))
+    return bytes(data), p, draw(st.integers(0, n - p + 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(packed_case())
+# lanes of 1, 2 and 4 bits; k = 0 and n - p = 0
+@example((b"\0\1" * 20, 2, 38))
+@example((b"\0\1\3\2" * 10 + b"\1", 4, 37))
+@example((b"\0\4\1\4" * 10, 4, 36))
+@example((b"\0", 1, 0))
+@example((b"\3\3\3", 3, 0))
+@example((b"\0\0", 2, 1))
+# 3-bit lanes would fold in the low bit of the lane before: 1 ^ 0 at
+# position 0 would mark position 1's agreement a mismatch
+@example((b"\1\0\0\4", 1, 1))
+def test_packed_run_test_matches_brute_force(case):
+    # True iff some k positions in a row agree at p: the short periods
+    # whose test fails are the ones with no run of k
+    data, p, k = case
+    assert _holds_run(_packed(data), p, k) == (
+        k == 0 or bool(brute_agreement_runs(data, p, k)))
+
+
+def test_packed_lanes_are_the_fewest_power_of_two_bits():
+    for size in range(1, 11):
+        x, w, ones = _packed(bytes(range(size)))
+        assert w == (1 if size <= 2 else 2 if size <= 4 else 4)
+        assert x == int("".join(map(str, range(size))), 1 << w)
+        assert ones == int("1" * size, 1 << w)
+    assert _packed(b"") == (0, 1, 0)
 
 
 @st.composite
@@ -366,17 +414,36 @@ F_POINT = named("f").iterate_prefix(0, 400).letters
 H_POINT = named("h").iterate_prefix(1, 400).letters
 
 
+def clean_blocks(point: bytes, side: int) -> list[bytes]:
+    """The windows of 10 to 40 letters of ``point`` whose cube, read
+    backwards when ``side`` is -1, holds no forbidden factor: repeated,
+    one leaves a stretch that only the xyxyx search can report."""
+    return sorted({point[at:at + size] for at in range(360)
+                   for size in range(10, 41)
+                   if not any(f in (point[at:at + size] * 3)[::side]
+                              for f in FORBIDDEN_FACTORS)})
+
+
+F_BLOCKS, H_BLOCKS = clean_blocks(F_POINT, 1), clean_blocks(H_POINT, -1)
+
+
 @st.composite
 def level_word(draw):
     """A random ternary word, or a stretch of f's or h's fixed point behind
-    a planted front of (0121)^k, (01)^k, (10)^k and forbidden factors."""
+    a planted front of (0121)^k, (01)^k, (10)^k and forbidden factors, and
+    often a clean block of either repeated past exponent 5/2: one stretch
+    that offers many x at each start."""
     if draw(st.booleans()):
         return draw(letters(3, 0, 40))
     front = b""
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         base = draw(st.sampled_from([b"\0\1\2\1", b"\0\1", b"\1\0",
                                      *FORBIDDEN_FACTORS]))
         front += base * draw(st.integers(1, 8 if len(base) < 5 else 2))
+    if draw(st.booleans()):
+        block = draw(st.sampled_from(F_BLOCKS + H_BLOCKS))
+        size = len(block)
+        front += (block * 4)[:draw(st.integers(5 * size // 2 + 1, 4 * size))]
     point = draw(st.sampled_from([F_POINT, H_POINT]))
     start = draw(st.integers(0, 300))
     return front + point[start:start + draw(st.integers(0, 40))]
@@ -395,6 +462,12 @@ def report_tuple(report):
 # On the antiproper side a later candidate can start before an earlier
 # forgiven one; it must be passed over, not forgiven again.
 @example(bytes([0, 1, 2, 1]) * 3 + bytes([0]), None, True, _BAND_STRIDE)
+# every start of a repeated block holds a dominated occurrence, forgiven
+# or reported, and on the antiproper side the trim caps x
+@example(F_BLOCKS[7] * 3, None, False, 1)
+@example(F_BLOCKS[7] * 3, 30, False, 10**9)
+@example(H_BLOCKS[7] * 3, None, True, 1)
+@example(H_BLOCKS[7] * 3, 30, True, 10**9)
 @settings(max_examples=400, deadline=None)
 @given(level_word(), st.sampled_from([0, 1, 5, 64, None]), st.booleans(),
        cutover)

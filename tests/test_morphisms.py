@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotewords import (NAMED_MORPHISMS, AlphabetError, Morphism, Word,
-                       equal_on_letters, named, parikh, parse_morphism,
+from rotewords import (NAMED_MORPHISMS, AlphabetError, Morphism, ParseError,
+                       Word, equal_on_letters, named, parikh, parse_morphism,
                        parse_word, reverse)
 
 from oracles import brute_apply, brute_fixed_point_prefix
@@ -170,6 +170,18 @@ def test_parse_morphism_text():
         parse_morphism("nocolon")
     with pytest.raises(ValueError):
         parse_morphism("m: 01,,1")
+
+
+@pytest.mark.parametrize("text, bad", [("x: 0a,1", "'a'"),
+                                       ("x: 0\u00b2,1", "'\u00b2'"),
+                                       ("x: 1,0\u0663", "'\u0663'")])
+def test_parse_morphism_names_a_non_digit_character(text, bad):
+    # the alphabet is read off the ASCII digits alone, so parse_word names
+    # the character, where int() gave "invalid literal"
+    with pytest.raises(ParseError) as info:
+        parse_morphism(text)
+    assert info.value.position == 1
+    assert str(info.value) == f"non-digit character {bad} at position 1"
 
 
 def test_morphism_validation():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -31,7 +32,10 @@ def test_find_examples():
 def test_search_without_stretches_builds_no_counts():
     # 012012 is a square, of exponent 2, so phase 1 finds no run that can
     # host an occurrence and phase 2 is never set up
-    assert properness._xyxyx_search(bytes([0, 1, 2, 0, 1, 2]), 3) == ((), None)
+    with mock.patch.object(properness, "accumulate",
+                           side_effect=AssertionError("counts built")):
+        assert properness._xyxyx_search(bytes([0, 1, 2, 0, 1, 2]), 3,
+                                        lambda: (0, 6)) == ()
 
 
 def test_find_matches_brute_force_exhaustively():

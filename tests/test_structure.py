@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -337,7 +338,9 @@ def test_generate_refusal_holds_no_list_of_levels():
 
 
 def test_generate_depths_are_prefix_compatible():
-    # deeper generations describe the same infinite word
-    shallow = generate_case_word("F", 0, 400)
-    deep = generate_case_word("F", 3, 400)
-    assert shallow == deep
+    # deeper generations describe the same infinite word, each of exactly
+    # the length asked for: the fixed-point prefix is cut where its images
+    # first reach it, and a cut one letter short would leave it short
+    for case, length in product(CaseTag, [*range(40), 400, 2000]):
+        words = {generate_case_word(case, depth, length) for depth in range(5)}
+        assert len(words) == 1 and len(words.pop()) == length
