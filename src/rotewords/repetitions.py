@@ -282,8 +282,9 @@ def _suffix_52plus(buf) -> bool:
     For each period p gated by 5p < 2n, only the minimal witness length
     2p + ceil((p+1)/2) is checked; a longer period-p power suffix always
     contains that minimal one as a suffix.  It serves
-    ``suffix_is_52plus_power`` and the tests' node-by-node search oracle;
-    the search itself keeps the same test in lanes of one int per depth.
+    ``suffix_is_52plus_power`` and the tests' node-by-node search oracle.
+    The search does not call it: from one int of runs per depth, it
+    decides the same test for both children of a node when it pushes it.
     """
     n = len(buf)
     p = 1

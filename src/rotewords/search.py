@@ -7,12 +7,18 @@ suffixes at each extension is equivalent to checking the whole word, and
 the first word reaching any given length is the lexicographically least
 word of that length satisfying the predicate.
 
-The suffix test is a few whole-int operations per node.  For each prefix
-on the current path, one int holds in lane p (``width`` bits at bit
-``width * (p - 1)``) the trailing agreement run r_p: the number of final
-positions i with w[i] == w[i - p].  A suffix of period p has exponent
-above 5/2 exactly when r_p >= p + p // 2 + 1, and every lane is tested at
-once by adding ``top`` minus that bound and masking the lanes' top bits.
+Each node decides both of its children when it is pushed, so trying a
+child is a tuple index and a sign test.  Forbidden factors are matched by
+an Aho-Corasick automaton over the factors (``_automaton``): the path
+keeps one state per depth, and a child whose letter ends a factor gets -1.
+The 5/2+ test is a few whole-int operations.  For each prefix on the
+current path, one int holds in lane p (``width`` bits at bit
+``width * (p - 1)``) r_p + 1, where the trailing agreement run r_p is the
+number of final positions i with w[i] == w[i - p].  A suffix of period p
+has exponent above 5/2 exactly when r_p >= p + p // 2 + 1, so adding
+``top`` minus that bound and masking the lanes' top bits marks at once
+every lane in which a letter equal to w[n - p] would make one; splitting
+the marks by the letter at w[n - p] prunes child 1, child 0 or both.
 Lanes exist only for the periods up to the deepest length reached, so a
 node costs time in the search's depth, not the target, and the runs kept
 for backtracking take about width * n**2 / 2 bits at depth n.
@@ -41,6 +47,10 @@ class SearchOutcome(Record):
 
 
 def _as_factor_bytes(forbidden: Iterable[Word | str]) -> tuple[bytes, ...]:
+    if isinstance(forbidden, (str, Word)):
+        # iterating it would forbid each of its letters on its own
+        raise TypeError(f"forbidden must be a collection of factors, not the "
+                        f"bare {type(forbidden).__name__} {str(forbidden)!r}")
     out = []
     for item in forbidden:
         w = parse_word(item, 2) if isinstance(item, str) else item
@@ -50,6 +60,34 @@ def _as_factor_bytes(forbidden: Iterable[Word | str]) -> tuple[bytes, ...]:
             raise ValueError("forbidden factors must be nonempty")
         out.append(w.letters)
     return tuple(out)
+
+
+def _automaton(factors: tuple[bytes, ...]) -> list[int]:
+    """Aho-Corasick over binary factors as a flat table: ``delta[2*s + c]``
+    is the state after reading c in state s, or -1 if a factor ends there.
+    State 0 is the empty word; there are at most sum(len(f)) + 1 states."""
+    delta, ends = [0, 0], [False]       # trie edges first, 0 where absent
+    for f in factors:
+        s = 0
+        for c in f:
+            if not delta[2 * s + c]:
+                delta[2 * s + c] = len(ends)
+                delta += (0, 0)
+                ends.append(False)
+            s = delta[2 * s + c]
+        ends[s] = True
+    fail = [0] * len(ends)
+    queue = [0]
+    for s in queue:                     # breadth first: fail[s] is shallower
+        for c in (0, 1):
+            t, back = delta[2 * s + c], delta[2 * fail[s] + c] if s else 0
+            if t:
+                fail[t] = back
+                ends[t] = ends[t] or ends[back]
+                queue.append(t)
+            else:
+                delta[2 * s + c] = back
+    return [-1 if ends[t] else t for t in delta]
 
 
 def _lane_width(target: int) -> int:
@@ -64,50 +102,57 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
     If some word of length ``target`` satisfies the predicate, the search
     stops there and returns it (the least such word); otherwise it exhausts
     the tree and reports the longest satisfying word found, again the
-    lexicographically least among those of maximal length.
+    lexicographically least among those of maximal length.  ``forbidden``
+    is a collection of factors; a bare ``str`` or ``Word`` raises
+    ``TypeError``.
     """
     if target < 0:
         raise ValueError("target must be non-negative")
-    factors = _as_factor_bytes(forbidden)
+    delta = _automaton(_as_factor_bytes(forbidden))
     width = _lane_width(target)
     top = 1 << (width - 1)
     lane = 2 * top - 1
-    # 1, top - (p + p // 2 + 1) and top in each lane p <= len(best), the
-    # deepest the search has been; at0 and at1 clear a node's lanes p > n
-    one = bias = high = 0
-    # for the prefix w[:n]: runs[n] holds r_p in lane p, and lane p of
-    # at0 (at1) is all ones iff w[n - p] == 0 (1)
-    runs = [0]
-    at0 = at1 = 0
+    # 1, top - (p + p // 2 + 1) and top in each lane p <= deepest, the
+    # longest length reached
+    one = bias = high = deepest = 0
+    # lane p of at1 is all ones iff w[n - p] == 1, for the prefix w[:n]
+    at1 = 0
     w = bytearray()
     best = b""
+    # path[n] for w[:n]: the automaton state after w[:n] + c, or -1 if that
+    # child is pruned, for c = 0, 1; then r_p + 1 in each lane p <= n
+    path = [(delta[0], delta[1], 0)]
     nodes = 1                   # the empty word
     reached = target == 0
     c = 0
     while not reached:
-        n = len(w)
         nodes += 1
-        r = (runs[n] + one) & (at1 if c else at0)
-        w.append(c)
-        if w.endswith(factors) or (r + bias) & high:
-            w.pop()
+        s = path[-1][c]
+        if s < 0:
             while c and w:      # both letters failed: back up past the 1s
                 c = w.pop()
-                del runs[-1]
-                at0, at1 = at0 >> width, at1 >> width
+                del path[-1]
+                at1 >>= width
             if c:
                 break
             c = 1
             continue
-        if n + 1 > len(best):
-            best = bytes(w)
-            p, shift = n + 1, width * n
+        inc = path[-1][2]
+        runs = inc & at1 if c else inc ^ (inc & at1)
+        at1 = at1 << width | lane * c
+        w.append(c)
+        n = len(w)
+        if n > deepest:
+            best, deepest, shift = bytes(w), n, width * (n - 1)
             one |= 1 << shift
-            bias |= (top - p - p // 2 - 1) << shift
+            bias |= (top - n - n // 2 - 1) << shift
             high |= top << shift
-        reached = n + 1 == target
-        runs.append(r)
-        at0, at1 = at0 << width | lane * (1 - c), at1 << width | lane * c
+        reached = n == target
+        inc = runs + (one >> width * (deepest - n))
+        over = (inc + bias) & high
+        over1 = over & at1      # the lanes that prune child 1
+        path.append((-1 if over != over1 else delta[2 * s],
+                     -1 if over1 else delta[2 * s + 1], inc))
         c = 0
     return SearchOutcome(len(best), Word(best, 2), reached, nodes)
 

@@ -137,6 +137,13 @@ def test_input_validation():
         longest_avoiding([""], 10)
     with pytest.raises(ValueError):
         longest_avoiding(["012"], 10)
+    # a bare word is not a set of factors: iterated, "0110" would forbid
+    # the letters 0 and 1
+    for call in (lambda: longest_avoiding("0110"),
+                 lambda: longest_avoiding(parse_word("0110", 2)),
+                 lambda: run_reference_table([("0110", 14)])):
+        with pytest.raises(TypeError, match="bare (str|Word) '0110'"):
+            call()
 
 
 def test_run_reference_table_accepts_overrides():

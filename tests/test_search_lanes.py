@@ -2,6 +2,7 @@
 in ``oracles.brute_longest_avoiding``, and the lane width rule."""
 
 import time
+import tracemalloc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,11 @@ factors = st.lists(st.text("01", min_size=1, max_size=9), max_size=3)
 
 
 @example(["0101", "1010", "10110010"], 150)
+@example(["0110", "10"], 40)            # one factor a suffix of another,
+@example(["01", "0110"], 40)            # a prefix,
+@example(["1", "0110"], 40)             # an infix,
+@example(["0110", "0110"], 40)          # the same factor twice
+@example(["011010011"], 6)              # a factor longer than the target
 @example([], 0)
 @settings(max_examples=300, deadline=None)
 @given(factors, st.integers(0, 150))
@@ -40,6 +46,20 @@ def test_cost_follows_depth_not_target():
     start = time.perf_counter()
     assert outcome_fields(["0"], 10**6) == (2, b"\x01\x01", False, 7)
     assert time.perf_counter() - start < 0.1
+
+
+def test_path_memory_is_one_run_int_per_depth():
+    # Thue-Morse avoids 000, 111 and every 5/2+ power, so the search
+    # reaches depth 2000 and holds about width * n**2 / 2 bits of runs
+    # (3.6-3.7 MB); a second int of that size per depth would double it
+    tracemalloc.start()
+    try:
+        outcome = longest_avoiding(["000", "111"], 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.reached_target
+    assert peak < 5 * 10**6
 
 
 def test_lane_width_fits_every_bound():
