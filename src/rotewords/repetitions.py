@@ -26,18 +26,17 @@ per octave and log n octaves this is near n log n unless runs abound.
 One need per octave is exact because every caller's need never falls as p
 grows (``max_factor_exponent``'s follows its best exponent so far, which
 only rises): need(P) finds every run a later period asks for, and a run is
-kept if it reaches need(p), read anew after each run.  Shorter strides
-read each period off one full mask with ``bytes.find``, but only once the
-period passes a cheaper test: the word is packed once into an int of w =
-1, 2 or 4 bits per letter, and a few shifts, ANDs and XORs of it tell
-whether any L = need(p) positions in a row agree at p.  Most periods hold
-no such run and build no mask.
+kept if it reaches need(p).  Both branches read need(p) anew after each
+run they yield.  Shorter strides read each period off one full mask with
+``bytes.find``, but only once the period passes a cheaper test: the word
+is packed once into an int of w = 1, 2 or 4 bits per letter, and a few
+shifts, ANDs and XORs of it tell whether any L = need(p) positions in a
+row agree at p.  Most periods hold no such run and build no mask.
 """
 
 from __future__ import annotations
 
 import operator
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partialmethod
@@ -164,18 +163,6 @@ def _holds_run(packed: tuple[int, int, int], p: int, k: int) -> bool:
     return z != 0 or k == 0
 
 
-def _agreement_runs(data: bytes, p: int, min_len: int):
-    """Yield, left to right, the maximal runs [a, b) with b - a >= min_len
-    and data[i] == data[i+p] for every a <= i < b, read with ``bytes.find``
-    off one mask of the period, 0 where letters agree and 1 elsewhere.  A
-    min_len sent in after a run holds for the runs after it."""
-    mask, b = _mismatch_mask(data, p).translate(_ZERO_ONE), -1
-    while (a := mask.find(bytes(min_len), b + 1)) >= 0:
-        b = mask.find(1, a + min_len)
-        b = len(mask) if b < 0 else b
-        min_len = (yield a, b) or min_len
-
-
 def _band_runs(data: bytes, low: int, top: int, min_len: int):
     """Yield (p, a, b), sorted, for each maximal run [a, b) of period p
     with low <= p < top, b - a >= min_len and data[i] == data[i+p] on it.
@@ -218,11 +205,11 @@ def _runs(data: bytes, need):
     """Yield (p, a, b) for each maximal run [a, b) of period p with
     b - a >= need(p), for p = 1, 2, ... until p + need(p) > len(data).
 
-    need(p) is read on reaching p and after each run yielded there.  As
-    callers keep it from falling, a band's first need finds every run its
-    later periods ask for, and no period past the stop can hold one.  A
-    period below the band is tested on the packed word first, and its mask
-    is built only when some run of need(p) is there."""
+    need(p) is read on reaching p and after each run yielded there, in
+    both branches.  As callers keep it from falling, a band's first need
+    finds every run its later periods ask for, and no period past the stop
+    can hold one.  A period below the band builds its one mask only once
+    the packed word shows a run of need(p) there."""
     p, k, packed = 1, need(1), _packed(data)
     while p + k <= len(data):
         top = p + 1
@@ -237,12 +224,12 @@ def _runs(data: bytes, need):
                     yield run
                     k = need(p)
         elif _holds_run(packed, p, k):
-            runs = _agreement_runs(data, p, k)
-            with suppress(StopIteration):
-                a, b = next(runs)
-                while True:
-                    yield p, a, b
-                    a, b = runs.send(need(p))
+            mask, b = _mismatch_mask(data, p).translate(_ZERO_ONE), -1
+            while (a := mask.find(bytes(k), b + 1)) >= 0:
+                b = mask.find(1, a + k)
+                b = len(mask) if b < 0 else b
+                yield p, a, b
+                k = need(p)
         p, k = top, need(top)
 
 
@@ -276,17 +263,16 @@ def is_power_free(w: Word, threshold,
     return None
 
 
-def _suffix_52plus(buf) -> bool:
-    """True iff some suffix of ``buf`` is a 5/2+ power.
+def suffix_is_52plus_power(w: Word) -> bool:
+    """True iff some suffix of w has exponent strictly greater than 5/2.
 
     For each period p gated by 5p < 2n, only the minimal witness length
     2p + ceil((p+1)/2) is checked; a longer period-p power suffix always
-    contains that minimal one as a suffix.  It serves
-    ``suffix_is_52plus_power`` and the tests' node-by-node search oracle.
-    The search does not call it: from one int of runs per depth, it
-    decides the same test for both children of a node when it pushes it.
+    contains that minimal one as a suffix.  The search does not call it:
+    from one int of runs per depth, it decides the same test for both
+    children of a node when it pushes it.
     """
-    n = len(buf)
+    buf, n = w.letters, len(w)
     p = 1
     while 5 * p < 2 * n:
         c = (p + 2) // 2
@@ -294,11 +280,6 @@ def _suffix_52plus(buf) -> bool:
             return True
         p += 1
     return False
-
-
-def suffix_is_52plus_power(w: Word) -> bool:
-    """True iff some suffix of w has exponent strictly greater than 5/2."""
-    return _suffix_52plus(w.letters)
 
 
 def max_factor_exponent(w: Word) -> tuple[Exponent, RepetitionWitness]:

@@ -72,6 +72,8 @@ class Word:
         return self.letters[index]
 
     def __add__(self, other: "Word") -> "Word":
+        if not isinstance(other, Word):
+            return NotImplemented
         if self.alphabet_size != other.alphabet_size:
             raise AlphabetError("cannot concatenate words over different alphabets")
         return Word(self.letters + other.letters, self.alphabet_size)

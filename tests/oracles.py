@@ -3,9 +3,10 @@
 Everything here follows the definitions directly (enumerate, compare,
 count) and stays independent of the library's optimised code paths.  Two
 use plain library helpers: ``brute_longest_avoiding`` checks its nodes
-with the library's ``_suffix_52plus``, which the repetition tests compare
-with ``brute_suffix_has_52plus`` on every binary word of up to 14 letters,
-and ``brute_classify`` reads every window with ``factors_of_length``.
+with the library's ``suffix_is_52plus_power``, which the repetition tests
+compare with ``brute_suffix_has_52plus`` on every binary word of up to 14
+letters, and ``brute_classify`` reads every window with
+``factors_of_length``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from rotewords.repetitions import _suffix_52plus
+from rotewords.repetitions import suffix_is_52plus_power
 from rotewords.words import Word, factors_of_length
 
 
@@ -246,7 +247,7 @@ def brute_longest_avoiding(forbidden: list[bytes], target: int):
             k = len(f)
             if n >= k and w[-k:] == f:
                 return False
-        return not _suffix_52plus(w)
+        return not suffix_is_52plus_power(Word(bytes(w), 2))
 
     reached = False
     while len(w) <= target:

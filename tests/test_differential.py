@@ -1,9 +1,9 @@
-"""Differential tests: the agreement-run readers (one mask per period,
-and the banded scan of an octave of periods), the packed test that lets a
-short period skip its mask, and their period loop, the whole-word checks
-built on them, the properness reports, the block decoder, the length-4
-classification and the factor-complexity table, against the brute-force
-oracles.
+"""Differential tests: the agreement-run readers (one mask per short
+period in the period loop, and the banded scan of an octave of periods),
+the packed test that lets a short period skip its mask, the period loop
+itself, the whole-word checks built on them, the properness reports, the
+block decoder, the length-4 classification and the factor-complexity
+table, against the brute-force oracles.
 
 The whole-word checks band their periods only once runs of 2 *
 _BAND_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -27,8 +27,8 @@ from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError,
                        forgiving_scan, generate_case_word, is_power_free,
                        max_factor_exponent, named, smallest_period)
 from rotewords import repetitions
-from rotewords.repetitions import (_BAND_STRIDE, _agreement_runs, _band_runs,
-                                   _holds_run, _packed, _runs)
+from rotewords.repetitions import (_BAND_STRIDE, _band_runs, _holds_run,
+                                   _packed, _runs)
 
 from oracles import (brute_agreement_runs, brute_avoids, brute_best_run,
                      brute_classify, brute_decode, brute_dominated_xyxyx,
@@ -97,10 +97,14 @@ def stretch_in_filler(period: int, repeats: int, filler: int, seed: int):
 @example((stretch_in_filler(300, 10, 0, 1), 300, 100))
 @example((stretch_in_filler(300, 10, 150, 2), 300, 100))
 def test_agreement_runs_match_brute_force(case):
-    # both readers of one period: its mask, and a band of that period alone
+    # both readers of one period: its mask in the period loop with no band,
+    # and a band of that period alone
     data, p, min_len = case
     expected = brute_agreement_runs(data, p, min_len)
-    assert list(_agreement_runs(data, p, min_len)) == expected
+    with mock.patch.object(repetitions, "_BAND_STRIDE", 10**9):
+        runs = itertools.takewhile(lambda r: r[0] <= p,
+                                   _runs(data, lambda _: min_len))
+        assert [(a, b) for q, a, b in runs if q == p] == expected
     assert list(_band_runs(data, p, p + 1, min_len)) == [
         (p, a, b) for a, b in expected]
 
@@ -271,6 +275,41 @@ def test_runs_read_need_once_per_period(data, kind, cut):
     assert all(n <= 1 + yielded[p] for p, n in Counter(reads).items())
 
 
+THUE_MORSE = named("mu").iterate_prefix(0, 2500).letters
+PERIOD_40 = stretch_in_filler(40, 20, 300, 5)
+
+
+@pytest.mark.parametrize("data", [G_OF_F, THUE_MORSE, PERIOD_40],
+                         ids=["g-of-f", "thue-morse", "period-40"])
+@pytest.mark.parametrize("kind", ["phase 1", "5/2+", "tying"])
+def test_runs_build_one_mask_per_short_period(data, kind):
+    # with no band, a period builds its mask once, after its packed test
+    # passes, and reads every run off it however often need is re-read
+    # there; a period whose test fails builds none
+    passed, masks = [], []
+    holds, mismatch = repetitions._holds_run, repetitions._mismatch_mask
+
+    def spy_holds(packed, p, k):
+        if holds(packed, p, k):
+            passed.append(p)
+            return True
+        return False
+
+    def spy_mask(data, p):
+        masks.append(p)
+        return mismatch(data, p)
+
+    with mock.patch.object(repetitions, "_BAND_STRIDE", 10**9), \
+            mock.patch.object(repetitions, "_holds_run", spy_holds), \
+            mock.patch.object(repetitions, "_mismatch_mask", spy_mask):
+        runs = scan_runs(_runs, data, kind)
+    assert masks == passed == sorted(set(passed))
+    assert {p for p, _, _ in runs} <= set(masks)
+    if data is PERIOD_40 and kind != "5/2+":
+        assert (len(masks), len(runs)) == \
+            {"phase 1": (14, 296), "tying": (2, 5)}[kind]
+
+
 @pytest.mark.parametrize("cut", [1, _BAND_STRIDE, 10**9])
 @pytest.mark.parametrize("word, runs", [
     (Word(G_OF_F, 3), 4), (named("mu").iterate_prefix(0, 2500), 18)],
@@ -306,7 +345,11 @@ def test_agreement_runs_with_min_len_zero_end():
     # an empty needle is found at every position: the reader must still
     # move past each run's end, so it yields at most one run for each of
     # the mask's n - 3 positions and one at its end
-    runs = list(itertools.islice(_agreement_runs(G_OF_F, 3, 0), len(G_OF_F)))
+    with mock.patch.object(repetitions, "_BAND_STRIDE", 10**9):
+        scan = itertools.takewhile(lambda r: r[0] <= 3,
+                                   _runs(G_OF_F, lambda _: 0))
+        runs = [(a, b) for q, a, b in itertools.islice(scan, 3 * len(G_OF_F))
+                if q == 3]
     assert len(runs) <= len(G_OF_F) - 2
     assert [(a, b) for a, b in runs if a < b] == brute_agreement_runs(
         G_OF_F, 3, 1)

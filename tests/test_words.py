@@ -118,6 +118,17 @@ def test_word_conveniences():
     assert word("012", 3) == w3("012")
 
 
+@pytest.mark.parametrize("other", ["01", b"\0\1", [0, 1]],
+                         ids=["str", "bytes", "list"])
+def test_adding_a_non_word_raises_type_error(other):
+    # on either side: Word.__add__ declines, as the operand's own __add__
+    # already does
+    with pytest.raises(TypeError):
+        w2("10") + other
+    with pytest.raises(TypeError):
+        other + w2("10")
+
+
 def test_complement():
     assert complement(w2("1101")) == w2("0010")
     assert complement(w2("")) == w2("")
