@@ -305,20 +305,21 @@ def _cmd_complexity(args) -> Outcome:
 
 def _cmd_check_power(args) -> Outcome:
     w = _load_input(args)
-    try:
+    try:    # str() refuses an integer part past sys.get_int_max_str_digits()
         threshold = Fraction(args.threshold)
+        text = str(threshold)
     except (ValueError, ZeroDivisionError) as exc:
         why = ("its denominator is zero" if isinstance(exc, ZeroDivisionError)
                else exc)
         raise SourceError(f"bad threshold {args.threshold!r}: {why}") from exc
     witness = is_power_free(w, threshold, args.strict)
     if witness is None:
-        kind = f"{threshold}{'+' if args.strict else ''}"
+        kind = f"{text}{'+' if args.strict else ''}"
         line = f"ok: no factor violates the {kind} bound"
     else:
         witness = witness.to_json()
         line = "witness: " + " ".join(f"{k}={v}" for k, v in witness.items())
-    return Outcome({"length": len(w), "threshold": str(threshold),
+    return Outcome({"length": len(w), "threshold": text,
                     "strict": args.strict}, {"witness": witness}, [line])
 
 

@@ -18,10 +18,9 @@ and that least x is the only candidate there that can matter.
 
 ``forgiving_scan`` is the one checker behind ``is_proper``,
 ``is_antiproper`` and the decomposition reports, and returns the
-``PropernessReport`` itself.  It forgives the violations that start before
-a bound and reports the first one after it, walking the forbidden-factor
-occurrences lazily and running the xyxyx search once on what is left,
-instead of re-checking the remaining suffix after each forgiven violation.
+``PropernessReport`` itself.  One rule forgives the violations that start
+before a bound and reports the first after it, over one lazy stream in
+checker order: the forbidden-factor occurrences, then the xyxyx candidates.
 The length guard sits only on the three whole-word entry points,
 ``is_proper``, ``is_antiproper`` and ``find_dominated_xyxyx``.
 """
@@ -179,12 +178,12 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
     precedence and tie-breaks included, because the violations of u[trim:]
     are exactly those of u that start at or after trim.
 
-    Forbidden-factor occurrences are taken lazily in checker order
-    (position, then length, on u or on its reverse), each pattern's next
-    one from a heap: one starting before the current trim is skipped, one
-    starting before the bound is forgiven.  The xyxyx search then runs
-    once, on what is left of u, and screens each candidate against the
-    current trim before its Parikh test.
+    One lazy stream yields u's violations in checker order: the
+    forbidden-factor occurrences (position, then length, on u or on its
+    reverse) from a heap, then the xyxyx candidates of one search on what
+    the trim leaves when they run out, which re-reads the trim at each
+    start.  One rule skips a start before the trim, reports one at or past
+    the bound and forgives any other.
     """
     if u.alphabet_size != 3:
         raise AlphabetError("properness is defined for ternary words")
@@ -192,37 +191,36 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
     data = u.letters[::-1] if mirrored else u.letters
     trim = 0
 
-    heap = [(pos, len(pat), pat) for pat in FORBIDDEN_FACTORS
-            if (pos := data.find(pat)) != -1]
-    heapq.heapify(heap)
-    while heap:
-        pos, length, pat = heap[0]
-        start = n - pos - length if mirrored else pos
-        if start >= trim:
-            if start >= trim_bound:
-                text = "".join(map(str, pat[::-1] if mirrored else pat))
-                return PropernessReport(
-                    n - trim, trim, Violation("forbidden_factor", start, text))
-            trim = start + 1
-        pos = data.find(pat, pos + 1)
-        if pos == -1:
-            heapq.heappop(heap)
-        else:
-            heapq.heapreplace(heap, (pos, length, pat))
+    def violations():   # (start in u, kind, pattern or (x, y))
+        heap = [(pos, len(pat), pat) for pat in FORBIDDEN_FACTORS
+                if (pos := data.find(pat)) != -1]
+        heapq.heapify(heap)
+        while heap:
+            pos, length, pat = heap[0]
+            yield n - pos - length if mirrored else pos, "forbidden_factor", pat
+            pos = data.find(pat, pos + 1)
+            if pos == -1:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (pos, length, pat))
+        offset = trim
 
-    offset = trim
+        def window():   # what the current trim leaves, in the searched slice
+            return (0, n - trim) if mirrored else (trim - offset, n - offset)
 
-    def window():   # what the current trim leaves, in the searched slice
-        return (0, n - trim) if mirrored else (trim - offset, n - offset)
+        for s, x, y in _xyxyx_search(
+                data[:n - trim] if mirrored else data[trim:], 3, window):
+            yield (n - s - 3 * x - 2 * y if mirrored else offset + s,
+                   "xyxyx", (x, y))
 
-    for s, x, y in _xyxyx_search(
-            data[:n - trim] if mirrored else data[trim:], 3, window):
-        start = n - s - 3 * x - 2 * y if mirrored else offset + s
-        if start < trim:    # forgiven after its window was read
+    for start, kind, detail in violations():
+        if start < trim:    # inside a forgiven stretch
             continue
         if start >= trim_bound:
-            return PropernessReport(n - trim, trim, Violation(
-                "xyxyx", start, XyxyxOccurrence(start, x, y)))
+            detail = (XyxyxOccurrence(start, *detail) if kind == "xyxyx" else
+                      "".join(map(str, detail[::-1] if mirrored else detail)))
+            return PropernessReport(n - trim, trim,
+                                    Violation(kind, start, detail))
         trim = start + 1
     return PropernessReport(n - trim, trim, None)
 

@@ -477,6 +477,9 @@ def test_negative_count_option_is_usage_error(capsys, argv, flag):
      "bad threshold 'abc'"),
     (["check-power", "--input", "literal:0110", "--threshold", "1/0"],
      "bad threshold '1/0'"),
+    # rendered before the scan, past Python's 4300-digit str() limit
+    (["check-power", "--input", "literal:0110", "--threshold", "1e5000"],
+     "bad threshold '1e5000': Exceeds the limit"),
     (["classify", "--input", "image:g:"], "image spec needs an inner source"),
     (["classify", "--input", "complement:"],
      "complement spec needs an inner source"),
@@ -489,9 +492,9 @@ def test_negative_count_option_is_usage_error(capsys, argv, flag):
      "depth must be non-negative"),
     (["decompose", "--input", "literal:0110", "--depth", "-1"],
      "depth must be non-negative"),
-], ids=["max-n-0", "threshold-abc", "threshold-1/0", "image-no-inner",
-        "complement-no-inner", "image-unknown", "fixpoint-unknown",
-        "blank-file", "generate-depth", "decompose-depth"])
+], ids=["max-n-0", "threshold-abc", "threshold-1/0", "threshold-1e5000",
+        "image-no-inner", "complement-no-inner", "image-unknown",
+        "fixpoint-unknown", "blank-file", "generate-depth", "decompose-depth"])
 def test_usage_error_paths(tmp_path, capsys, argv, message):
     blank = tmp_path / "blank.txt"
     blank.write_text("\n  \n\t\n")

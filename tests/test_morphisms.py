@@ -54,6 +54,13 @@ def test_compose_identities():
     assert not equal_on_letters(named("f"), h)
 
 
+def test_equal_on_letters_needs_one_source_alphabet():
+    thue_morse = Morphism.from_strings(["01", "10"])
+    with pytest.raises(AlphabetError,
+                       match="^morphisms have different source alphabets$"):
+        equal_on_letters(thue_morse, named("g"))
+
+
 def test_compose_alphabet_check():
     with pytest.raises(AlphabetError):
         named("mu").compose(named("f"))

@@ -29,6 +29,12 @@ def test_find_examples():
     assert find_dominated_xyxyx(w3("012")) is None
 
 
+def test_occurrence_total_length_counts_three_x_and_two_y():
+    # 012 1 012 1 012
+    occ = find_dominated_xyxyx(w3("012101210121"))
+    assert occ.total_length == 3 * 3 + 2 * 1 == 11
+
+
 def test_search_without_stretches_builds_no_counts():
     # 012012 is a square, of exponent 2, so phase 1 finds no run that can
     # host an occurrence and phase 2 is never set up

@@ -40,6 +40,10 @@ def test_exponent_worked_values():
     assert e > Fraction(5, 2)
 
 
+def test_exponent_repr_keeps_the_unreduced_fraction():
+    assert repr(Exponent(10, 4)) == "Exponent(10/4)"
+
+
 def test_exponent_comparisons_are_exact():
     assert Exponent(5, 2) == Fraction(5, 2)
     assert not Exponent(5, 2) > Fraction(5, 2)

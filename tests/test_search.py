@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from rotewords import (REFERENCE_ROWS, Word, complement, longest_avoiding,
-                       parse_word, reverse, run_reference_table,
-                       suffix_is_52plus_power)
+from rotewords import (REFERENCE_ROWS, AlphabetError, Word, complement,
+                       longest_avoiding, parse_word, reverse,
+                       run_reference_table, suffix_is_52plus_power)
 
 from oracles import all_words, brute_avoids
 
@@ -137,6 +137,9 @@ def test_input_validation():
         longest_avoiding([""], 10)
     with pytest.raises(ValueError):
         longest_avoiding(["012"], 10)
+    with pytest.raises(AlphabetError,
+                       match="^forbidden factor 012 is not binary$"):
+        longest_avoiding([parse_word("012", 3)], 10)
     # a bare word is not a set of factors: iterated, "0110" would forbid
     # the letters 0 and 1
     for call in (lambda: longest_avoiding("0110"),

@@ -6,12 +6,12 @@ from unittest import mock
 
 import pytest
 
-from rotewords import (CaseTag, ClassificationError, DecodeError,
-                       DecompositionError, FACTOR_SETS, LengthLimitError, Word,
-                       classify_by_length4, complement, decompose, f_decode,
-                       factor_complexity, forgiving_scan, g_decode,
-                       generate_case_word, h_decode, is_power_free, named,
-                       parse_word, reverse)
+from rotewords import (AlphabetError, CaseTag, ClassificationError,
+                       DecodeError, DecompositionError, FACTOR_SETS,
+                       LengthLimitError, Word, classify_by_length4, complement,
+                       decompose, f_decode, factor_complexity, forgiving_scan,
+                       g_decode, generate_case_word, h_decode, is_power_free,
+                       named, parse_word, reverse)
 
 from rotewords import properness, structure
 from rotewords.repetitions import _runs
@@ -77,6 +77,9 @@ def test_classify_ambiguous_and_inconsistent():
     assert any(str(o) in ("0000", "1111") for o in cls.offenders)
     with pytest.raises(ValueError):
         classify_by_length4(w2("011"))
+    with pytest.raises(AlphabetError,
+                       match="^classification applies to binary words$"):
+        classify_by_length4(w3("0121"))
 
 
 # ----------------------------------------------------------------- decode
@@ -107,6 +110,14 @@ def test_g_decode_error_names_the_block_start():
     with pytest.raises(DecodeError) as err:
         g_decode(w2("0100111"))
     assert err.value.position == 3
+
+
+def test_decode_refuses_a_word_over_the_wrong_alphabet():
+    # g maps 3 letters to 2, so its images are binary
+    with pytest.raises(AlphabetError) as err:
+        g_decode(w3("0121"))
+    assert str(err.value) == ("decoding Morphism(3->2: 011,0,01) expects a "
+                              "word over 2 letters")
 
 
 def test_f_decode_blocks():
@@ -278,6 +289,30 @@ def test_report_builds_phase_one_once(front, chain, seed, mirrored, trim):
         report = forgiving_scan(level, 64, mirrored=mirrored)
     assert report.trim == trim
     assert len(scans) == 1
+
+
+@pytest.mark.parametrize("front, chain, seed, mirrored, trim, most", [
+    (bytes([0, 1, 2, 1]) * 20, "f", 0, False, 64, 309),
+    (bytes([1, 2, 1, 0]) * 15, "h", 1, True, 52, 6),
+], ids=["proper", "antiproper"])
+def test_report_draws_xyxyx_candidates_lazily(front, chain, seed, mirrored,
+                                              trim, most):
+    # the search reads the trim at each start and stops where the report
+    # does: a stream that listed its candidates first, or read the window
+    # once, would draw every candidate of the forgiven front
+    level = Word(front + named(chain).iterate_prefix(seed, 5000).letters, 3)
+    drawn = []
+    search = properness._xyxyx_search
+
+    def counting(data, k, window):
+        for candidate in search(data, k, window):
+            drawn.append(candidate)
+            yield candidate
+
+    with mock.patch.object(properness, "_xyxyx_search", counting):
+        report = forgiving_scan(level, 64, mirrored=mirrored)
+    assert report.trim == trim
+    assert len(drawn) <= most
 
 
 def test_certificate_json_shape():

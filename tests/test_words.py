@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from rotewords.words import MAX_ALPHABET, Record
 from rotewords import (AlphabetError, ParseError, Word, complement,
-                       dominates, factor_complexity, factors_of_length,
-                       named, parikh, parse_word, reverse, word)
+                       complexity_profile, dominates, factor_complexity,
+                       factors_of_length, named, parikh, parse_word, reverse,
+                       word)
 
 from oracles import brute_factor_count
 
@@ -116,6 +117,16 @@ def test_word_conveniences():
         u + w2("0")
     assert word([0, 1, 2], 3) == w3("012")
     assert word("012", 3) == w3("012")
+    assert list(u) == [0, 1, 2, 1] and list(w2("")) == []
+    assert repr(u) == "Word('0121', k=3)"
+
+
+@pytest.mark.parametrize("letters", [bytearray([1, 0, 2]), [1, 0, 2]],
+                         ids=["bytearray", "list"])
+def test_word_stores_any_letter_sequence_as_bytes(letters):
+    u = Word(letters, 3)
+    assert type(u.letters) is bytes and u.letters == b"\1\0\2"
+    assert u == w3("102")
 
 
 @pytest.mark.parametrize("other", ["01", b"\0\1", [0, 1]],
@@ -178,6 +189,14 @@ def test_factors_of_length():
     assert factors_of_length(u, 2) == {w2("01"), w2("11"), w2("10")}
     assert factors_of_length(u, 5) == set()
     assert factors_of_length(u, 0) == {w2("")}
+
+
+@pytest.mark.parametrize("count", [factors_of_length, complexity_profile],
+                         ids=["factors_of_length", "complexity_profile"])
+def test_negative_factor_length_is_refused(count):
+    with pytest.raises(ValueError,
+                       match="^factor length must be non-negative$"):
+        count(w2("0110"), -1)
 
 
 def test_factor_complexity_small():
