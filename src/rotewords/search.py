@@ -7,10 +7,15 @@ suffixes at each extension is equivalent to checking the whole word, and
 the first word reaching any given length is the lexicographically least
 word of that length satisfying the predicate.
 
-Each node decides both of its children when it is pushed, so trying a
-child is a tuple index and a sign test.  Forbidden factors are matched by
-an Aho-Corasick automaton over the factors (``_automaton``): the path
-keeps one state per depth, and a child whose letter ends a factor gets -1.
+Each node decides both of its children when it is pushed, and every step
+of the loop pushes one node: child 0 if it is live, else child 1 if it is,
+else the deepest child 1 still waiting on the path.  A pruned child is
+counted, not visited, so ``nodes_explored`` counts every child tried, 0
+before 1, as a node-by-node walk would.  Backing up pops the waiting
+states and then cuts the word, the runs and ``at1`` back in one stride.
+Forbidden factors are matched by an Aho-Corasick automaton over the
+factors (``_automaton``): the path keeps the state of each waiting child
+1, and a child whose letter ends a factor gets -1.
 The 5/2+ test is a few whole-int operations.  For each prefix on the
 current path, one int holds in lane p (``width`` bits at bit
 ``width * (p - 1)``) r_p + 1, where the trailing agreement run r_p is the
@@ -31,6 +36,7 @@ and reports agreement row by row.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -106,6 +112,11 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
     is a collection of factors; a bare ``str`` or ``Word`` raises
     ``TypeError``.
     """
+    try:
+        target = operator.index(target)
+    except TypeError:
+        raise TypeError(f"target must be an integer, not "
+                        f"{type(target).__name__}") from None
     if target < 0:
         raise ValueError("target must be non-negative")
     delta = _automaton(_as_factor_bytes(forbidden))
@@ -119,41 +130,57 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
     at1 = 0
     w = bytearray()
     best = b""
-    # path[n] for w[:n]: the automaton state after w[:n] + c, or -1 if that
-    # child is pruned, for c = 0, 1; then r_p + 1 in each lane p <= n
-    path = [(delta[0], delta[1], 0)]
+    # s0, s1: the automaton state after w + 0 and w + 1, or -1 if that
+    # child is pruned.  For each prefix w[:k] on the path, incs[k] holds
+    # r_p + 1 in each lane p <= k, and for k < len(w) pending[k] is the
+    # state after w[:k] + 1 while that child waits: -1 if it is pruned, and
+    # -2 once it has been entered, so that backing up skips it uncounted
+    s0, s1 = delta[0], delta[1]
+    pending: list[int] = []
+    inc, incs = 0, [0]
     nodes = 1                   # the empty word
     reached = target == 0
-    c = 0
     while not reached:
-        nodes += 1
-        s = path[-1][c]
-        if s < 0:
-            while c and w:      # both letters failed: back up past the 1s
-                c = w.pop()
-                del path[-1]
-                at1 >>= width
-            if c:
-                break
+        if s0 >= 0:
+            c, s = 0, s0
+            pending.append(s1)
+        else:
+            nodes += 1          # child 0, pruned
+            s = s1
+            if s < 0:
+                nodes += 1      # child 1 too: back up to a child 1 waiting
+                while pending:
+                    s = pending.pop()
+                    if s >= 0:
+                        break
+                    nodes += s == -1    # a pruned child 1 counts as tried
+                else:
+                    break
+                n = len(pending)
+                at1 >>= width * (len(w) - n)
+                del w[n:], incs[n + 1:]
+                inc = incs[n]
             c = 1
-            continue
-        inc = path[-1][2]
+            pending.append(-2)
+        nodes += 1
         runs = inc & at1 if c else inc ^ (inc & at1)
         at1 = at1 << width | lane * c
         w.append(c)
         n = len(w)
         if n > deepest:
             best, deepest, shift = bytes(w), n, width * (n - 1)
+            if n == target:
+                reached = True
+                break
             one |= 1 << shift
             bias |= (top - n - n // 2 - 1) << shift
             high |= top << shift
-        reached = n == target
         inc = runs + (one >> width * (deepest - n))
+        incs.append(inc)
         over = (inc + bias) & high
         over1 = over & at1      # the lanes that prune child 1
-        path.append((-1 if over != over1 else delta[2 * s],
-                     -1 if over1 else delta[2 * s + 1], inc))
-        c = 0
+        s0 = -1 if over != over1 else delta[2 * s]
+        s1 = -1 if over1 else delta[2 * s + 1]
     return SearchOutcome(len(best), Word(best, 2), reached, nodes)
 
 

@@ -106,6 +106,23 @@ def test_node_counts_are_pinned():
             == 10765)
 
 
+# (computed, nodes) for each row of REFERENCE_ROWS, in order
+REFERENCE_RESULTS = [
+    (14, 281), (44, 3253), (28, 913), (13, 187), (13, 187), (28, 913),
+    (44, 3253), (15, 263), (31, 1323), (12, 175), (18, 415), (15, 263),
+    (31, 1323), (30, 1511), (24, 701), (50, 3713), (33, 1253), (50, 3713),
+    (24, 701), (24, 717), (24, 717), (52, 4991), (33, 1253), (50, 3713),
+    (24, 701), (24, 717), (24, 717), (24, 701), (88, 10765), (50, 3713),
+    (52, 4991), (20, 441),
+]
+
+
+def test_reference_table_is_pinned():
+    rows = run_reference_table()
+    assert [(r.computed, r.nodes) for r in rows] == REFERENCE_RESULTS
+    assert all(r.match for r in rows)
+
+
 def test_monotone_in_forbidden_set():
     rng = random.Random(71)
     pool = ["0110", "1001", "0011", "0101", "1010", "0010"]
@@ -147,6 +164,19 @@ def test_input_validation():
                  lambda: run_reference_table([("0110", 14)])):
         with pytest.raises(TypeError, match="bare (str|Word) '0110'"):
             call()
+
+
+@pytest.mark.parametrize("target", [2.5, None, "5", Fraction(5)])
+def test_target_must_be_an_integer(target):
+    # refused before the factors are read: "012" is not binary either
+    for call in (lambda: longest_avoiding(["012"], target),
+                 lambda: run_reference_table(target=target)):
+        with pytest.raises(TypeError, match="^target must be an integer"):
+            call()
+
+
+def test_target_takes_any_integer_type():
+    assert longest_avoiding(["0110"], True) == longest_avoiding(["0110"], 1)
 
 
 def test_run_reference_table_accepts_overrides():

@@ -28,6 +28,11 @@ factors = st.lists(st.text("01", min_size=1, max_size=9), max_size=3)
 @example(["0110", "0110"], 40)          # the same factor twice
 @example(["011010011"], 6)              # a factor longer than the target
 @example([], 0)
+@example(["0", "1"], 5)                 # both root children pruned
+@example(["0"], 5)                      # root child 0 pruned
+@example(["0"], 2)                      # the target reached on a child 1
+@example(["0110"], 1)
+@example(["00", "11"], 150)
 @settings(max_examples=300, deadline=None)
 @given(factors, st.integers(0, 150))
 def test_search_matches_the_node_by_node_loop(forbidden, target):
