@@ -110,7 +110,7 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
     the tree and reports the longest satisfying word found, again the
     lexicographically least among those of maximal length.  ``forbidden``
     is a collection of factors; a bare ``str`` or ``Word`` raises
-    ``TypeError``.
+    ``TypeError``, as does a ``target`` that is not an integer.
     """
     try:
         target = operator.index(target)
@@ -139,8 +139,7 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
     pending: list[int] = []
     inc, incs = 0, [0]
     nodes = 1                   # the empty word
-    reached = target == 0
-    while not reached:
+    while deepest < target:
         if s0 >= 0:
             c, s = 0, s0
             pending.append(s1)
@@ -170,7 +169,6 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
         if n > deepest:
             best, deepest, shift = bytes(w), n, width * (n - 1)
             if n == target:
-                reached = True
                 break
             one |= 1 << shift
             bias |= (top - n - n // 2 - 1) << shift
@@ -181,7 +179,7 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
         over1 = over & at1      # the lanes that prune child 1
         s0 = -1 if over != over1 else delta[2 * s]
         s1 = -1 if over1 else delta[2 * s + 1]
-    return SearchOutcome(len(best), Word(best, 2), reached, nodes)
+    return SearchOutcome(len(best), Word(best, 2), deepest == target, nodes)
 
 
 def _reference_rows() -> tuple[tuple[tuple[str, ...], int], ...]:

@@ -142,11 +142,6 @@ def test_equality_and_hash(name):
     assert a != tuple(getattr(a, f) for f in FIELDS[name])
 
 
-def test_exponents_compare_by_value():
-    assert Exponent(5, 2) == Exponent(10, 4)
-    assert hash(Exponent(5, 2)) == hash(Exponent(10, 4))
-
-
 @pytest.mark.parametrize("name", NAMES)
 def test_immutable(name):
     record = build()[name]
