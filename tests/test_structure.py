@@ -256,6 +256,39 @@ def test_decompose_g_decode_error_carries_empty_partial():
     assert partial.to_json()["depth_achieved"] == 0
 
 
+# a level drops its last decoded letter when that letter's image is a proper
+# prefix of another image: {1, 2} under g (011, 0, 01), {2} under f (0121,
+# 021, 01), none under h (1210, 120, 10)
+TAIL_TRIMS = {"g": (0, 1, 1), "f": (0, 0, 1), "h": (0, 0, 0)}
+
+
+@pytest.mark.parametrize("name", TAIL_TRIMS)
+@pytest.mark.parametrize("truncated", [0, 1])
+def test_tail_trim_follows_the_last_decoded_letter(name, truncated):
+    # every level decodes to the same preimage; level 1 runs f or h by class
+    w = generate_case_word("Frev" if name == "h" else "F", 1, 300)
+    for last, trim in enumerate(TAIL_TRIMS[name]):
+        preimage = w3("012" * 4) + Word(bytes([last]), 3)
+        result = structure.DecodeResult(preimage, 0, truncated)
+        with mock.patch.object(structure, "decode", return_value=result):
+            level = decompose(w, name != "g").levels[-1]
+        assert level.morphism == name
+        assert level.tail_trim == (0 if truncated else trim)
+        # the reports cover the level word after the tail trim
+        assert (level.proper.checked_length + level.proper.trim
+                == len(preimage) - level.tail_trim)
+
+
+def test_tail_trim_is_zero_on_an_empty_level():
+    w = generate_case_word("F", 0, 300)
+    levels = decompose(w, 8, min_level_length=0).levels
+    assert len(levels[-1].decode.preimage) == 0
+    assert levels[-1].tail_trim == 0
+    empty = structure.DecodeResult(w3(""), 0, 0)
+    with mock.patch.object(structure, "decode", return_value=empty):
+        assert decompose(w, 0).levels[0].tail_trim == 0
+
+
 def test_forgiven_front_keeps_violation_detail_in_level_coordinates():
     # 20 copies of 0121 hold dominated xyxyx occurrences at every start up
     # to 64; those before the front-trim bound are forgiven, and the one
