@@ -167,8 +167,8 @@ def factors_of_length(w: Word, n: int) -> set[Word]:
 
 
 def factor_complexity(w: Word, n: int) -> int:
-    """Number of distinct length-n factors of w (1 for n = 0)."""
-    return complexity_profile(w, n)[n]
+    """Number of distinct length-n factors of w (1 for n = 0, 0 past |w|)."""
+    return complexity_profile(w, n)[n] if n <= len(w) else 0
 
 
 def complexity_profile(w: Word, max_n: int) -> list[int]:

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -203,6 +204,23 @@ def test_factor_complexity_small():
     assert factor_complexity(w2("0110"), 2) == 3
     assert factor_complexity(w2("0110"), 0) == 1
     assert factor_complexity(w2(""), 0) == 1
+
+
+def test_factor_complexity_past_the_word_builds_no_table():
+    # n is past the word, so the answer is 0: a table of n + 1 rows
+    # would be 8 MB of list at n = 10**6
+    tracemalloc.start()
+    try:
+        assert factor_complexity(w2("0110"), 10**6) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert factor_complexity(w2("0110"), 5) == 0
+    assert factor_complexity(w2("0110"), 4) == 1
+    with pytest.raises(ValueError,
+                       match="^factor length must be non-negative$"):
+        factor_complexity(w2("0110"), -1)
 
 
 def test_factor_complexity_on_rote_prefix():
