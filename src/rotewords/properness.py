@@ -20,7 +20,7 @@ and that least x is the only candidate there that can matter.
 ``is_antiproper`` and the decomposition reports, and returns the
 ``PropernessReport`` itself.  One rule forgives the violations that start
 before a bound and reports the first after it, over one lazy stream in
-checker order: the forbidden-factor occurrences, then the xyxyx candidates.
+checker order on the word or its reverse, mapped into the word in one place.
 The length guard sits only on the three whole-word entry points,
 ``is_proper``, ``is_antiproper`` and ``find_dominated_xyxyx``.
 """
@@ -178,12 +178,12 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
     precedence and tie-breaks included, because the violations of u[trim:]
     are exactly those of u that start at or after trim.
 
-    One lazy stream yields u's violations in checker order: the
-    forbidden-factor occurrences (position, then length, on u or on its
-    reverse) from a heap, then the xyxyx candidates of one search on what
-    the trim leaves when they run out, which re-reads the trim at each
-    start.  One rule skips a start before the trim, reports one at or past
-    the bound and forgives any other.
+    One lazy stream yields each violation of u, or with ``mirrored`` of
+    its reverse, in checker order as (position, length, (x, y) or None)
+    there: forbidden factors from a heap, then the xyxyx candidates of one
+    search on what the trim leaves, re-read at each start.  The loop maps
+    them into u in one expression; one rule skips a start before the
+    trim, reports one at or past the bound and forgives any other.
     """
     if u.alphabet_size != 3:
         raise AlphabetError("properness is defined for ternary words")
@@ -191,36 +191,36 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
     data = u.letters[::-1] if mirrored else u.letters
     trim = 0
 
-    def violations():   # (start in u, kind, pattern or (x, y))
+    def violations():   # (position in data, length, (x, y) or None)
         heap = [(pos, len(pat), pat) for pat in FORBIDDEN_FACTORS
                 if (pos := data.find(pat)) != -1]
         heapq.heapify(heap)
         while heap:
             pos, length, pat = heap[0]
-            yield n - pos - length if mirrored else pos, "forbidden_factor", pat
+            yield pos, length, None
             pos = data.find(pat, pos + 1)
             if pos == -1:
                 heapq.heappop(heap)
             else:
                 heapq.heapreplace(heap, (pos, length, pat))
-        offset = trim
+        offset = 0 if mirrored else trim   # the searched slice's start in data
 
         def window():   # what the current trim leaves, in the searched slice
             return (0, n - trim) if mirrored else (trim - offset, n - offset)
 
         for s, x, y in _xyxyx_search(
                 data[:n - trim] if mirrored else data[trim:], 3, window):
-            yield (n - s - 3 * x - 2 * y if mirrored else offset + s,
-                   "xyxyx", (x, y))
+            yield offset + s, 3 * x + 2 * y, (x, y)
 
-    for start, kind, detail in violations():
+    for pos, length, xy in violations():
+        start = n - pos - length if mirrored else pos
         if start < trim:    # inside a forgiven stretch
             continue
         if start >= trim_bound:
-            detail = (XyxyxOccurrence(start, *detail) if kind == "xyxyx" else
-                      "".join(map(str, detail[::-1] if mirrored else detail)))
-            return PropernessReport(n - trim, trim,
-                                    Violation(kind, start, detail))
+            violation = (Violation("xyxyx", start, XyxyxOccurrence(start, *xy))
+                         if xy else Violation("forbidden_factor", start,
+                                              str(u[start:start + length])))
+            return PropernessReport(n - trim, trim, violation)
         trim = start + 1
     return PropernessReport(n - trim, trim, None)
 

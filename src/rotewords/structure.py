@@ -22,11 +22,12 @@ an image, reading its grammar off the morphism's images:
 - the start letter begins every image (0 for g, f and tau; 1 for h);
 - the marker occurs exactly once in every image, always at the same
   end: first for g, f and tau (where it is the start letter), last for h;
-- the margin is the longest image length minus one (2 for g, 3 for f, h).
+- the margin is the longest image length minus one (2 for g, 3 for f, h);
+- the prefixes are the images' non-empty proper prefixes.
 
 Letters before the first start letter are dropped, at most the margin of
 them.  The rest is blocks, one per marker, each an image but the last,
-which may be a proper prefix of one cut off by the end of the word: that
+which may be one of the prefixes, cut off by the end of the word: that
 tail is split off first.  Each image, longest first, is then replaced by
 its placeholder byte 0x80 + a, and one translate reads the preimage off
 the placeholders.  An image holds its marker once, at a fixed end, so no
@@ -39,10 +40,10 @@ marker (mu, theta, sigma, sigma_inv) are not decoded.
 depth and attaches a properness report to every ternary level.  Structure
 on a finite prefix is only evidence about a final segment of the
 underlying infinite word, so reports tolerate violations near the front,
-and each level drops its last decoded letter when that letter's image is
-a proper prefix of another image ({1, 2} under g, {2} under f, none under
-h): its final block could be the cut-off start of a longer image, so it
-is not trustworthy evidence.  Each report is the one that
+and a level that decoded to its end drops its last letter when that
+letter's image is one of the prefixes ({1, 2} under g, {2} under f, none
+under h): its final block could be the cut-off start of a longer image,
+so it is not trustworthy evidence.  Each report is the one that
 ``properness.forgiving_scan`` returns for the level word: violations that
 start before the front-trim bound are forgiven, the recorded trim is one
 past the start of the last of them, and the first violation at or after
@@ -171,8 +172,9 @@ class DecodeResult(Record):
 
 
 @cache
-def _grammar(m: Morphism) -> tuple[bytes, bytes, bool, dict[bytes, bytes]]:
-    """(start, marker, marker first?, image -> placeholder, longest first)."""
+def _grammar(m: Morphism) -> tuple[bytes, bytes, bool, dict, frozenset]:
+    """(start, marker, marker first?, image -> placeholder, longest first,
+    the images' non-empty proper prefixes)."""
     images = [img.letters for img in m.images]
     start = images[0][:1]
     if start and all(img.startswith(start) for img in images):
@@ -181,7 +183,9 @@ def _grammar(m: Morphism) -> tuple[bytes, bytes, bool, dict[bytes, bytes]]:
                    and img.count(marker) == 1 for img in images):
                 codes = {img: _PLACEHOLDERS[a:a + 1] for a, img in sorted(
                     enumerate(images), key=lambda e: -len(e[1]))}
-                return start, marker, first, codes
+                prefixes = frozenset(img[:i] for img in images
+                                     for i in range(1, len(img)))
+                return start, marker, first, codes, prefixes
     raise ValueError(f"{m!r} cannot be decoded: its images need a common "
                      f"first letter and a letter that occurs once in each, "
                      f"always at the same end")
@@ -194,13 +198,13 @@ def decode(m: Morphism, w: Word) -> DecodeResult:
     Raises ValueError when m has no start letter or no marker, and
     DecodeError when w is not a margin-trimmed image of m.
     """
-    start, mark, first, codes = _grammar(m)
+    start, mark, first, codes, prefixes = _grammar(m)
     if w.alphabet_size != m.target_alphabet:
         raise AlphabetError(f"decoding {m!r} expects a word over "
                             f"{m.target_alphabet} letters")
     data = w.letters
     dropped = len(data.partition(start)[0])
-    if dropped > max(map(len, m.images)) - 1:
+    if dropped > max(map(len, codes)) - 1:
         raise DecodeError(f"leading segment of {dropped} letters is too long "
                           f"to be the tail of an image", 0)
     end = max(data.rfind(mark, dropped) + (not first), dropped)
@@ -210,8 +214,7 @@ def decode(m: Morphism, w: Word) -> DecodeResult:
     for img, ph in codes.items():
         coded = coded.replace(img, ph)
     letters, tail = coded.translate(_LETTERS), data[end:]
-    if 0xFF in letters or tail and not any(img.startswith(tail)
-                                           for img in codes):
+    if 0xFF in letters or tail and tail not in prefixes:
         bad = (letters + b"\xff").index(0xFF)    # the first letter left
         at = dropped + sum(coded.count(ph, 0, bad) * len(img)
                            for img, ph in codes.items())
@@ -226,22 +229,13 @@ f_decode = partial(decode, named("f"))
 h_decode = partial(decode, named("h"))
 
 
-def _tail_trim(m: Morphism, result: DecodeResult) -> int:
-    """1 when the last decoded letter's image is a proper prefix of another
-    image, so the final block may be the cut-off start of a longer one."""
-    if result.truncated_suffix > 0 or len(result.preimage) == 0:
-        return 0
-    last = m.images[result.preimage.letters[-1]].letters
-    return int(any(img.letters != last and img.letters.startswith(last)
-                   for img in m.images))
-
-
 @dataclass(frozen=True)
 class LevelRecord(Record):
     """One decoding level: the morphism inverted, its result, and reports.
 
     ``tail_trim`` counts letters dropped from the end of the preimage
-    before the properness checks and the next decode (see _tail_trim).
+    before the properness checks and the next decode: 1 when nothing was
+    truncated and the last letter's image is a proper prefix of another.
     ``antiproper`` is populated on h-chain levels only.
     """
 
@@ -310,8 +304,10 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
             raise DecompositionError(
                 f"{name}-decode failed at level {level}: {exc}",
                 DecompositionCertificate(cls, tuple(levels))) from exc
-        trim = _tail_trim(m, result)
-        current = result.preimage[:len(result.preimage) - trim]
+        pre, prefixes = result.preimage, _grammar(m)[-1]
+        trim = int(not result.truncated_suffix and len(pre) > 0
+                   and m.images[pre[-1]].letters in prefixes)
+        current = pre[:len(pre) - trim]
         proper = forgiving_scan(current, front_trim_bound)
         anti = (forgiving_scan(current, front_trim_bound, mirrored=True)
                 if chain == "h" else None)

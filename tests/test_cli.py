@@ -2,12 +2,14 @@ import hashlib
 import io
 import json
 import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from rotewords import NAMED_MORPHISMS, Morphism, Word, named, parse_word
+from rotewords import properness
 from rotewords.cli import _build_parser, main, parse_source
 
 
@@ -676,6 +678,20 @@ def test_decompose_output_is_pinned(capsys, name):
     assert code == 0
     results = digest_preimages(json.loads(out)["results"])
     assert results == json.loads(PINNED_RESULTS.read_text())[name]
+
+
+@pytest.mark.parametrize("name, calls", [("F front 000", 12),
+                                         ("F front 121212", 9)])
+def test_front_defect_decompose_sets_up_phase_2_as_often(capsys, name, calls):
+    # each xyxyx phase 2 builds one prefix-count row per letter; a search
+    # over the whole level word, trimmed stretches included, would set up
+    # phase 2 on more levels
+    with mock.patch.object(properness, "accumulate",
+                           wraps=accumulate) as spy:
+        code, _, _ = run(capsys, "decompose", "--depth", "4", "--input",
+                         PINNED_DECOMPOSE[name])
+    assert code == 0
+    assert spy.call_count == calls
 
 
 # ------------------------------------------------ golden stdout and exit codes
