@@ -256,9 +256,9 @@ def test_decompose_g_decode_error_carries_empty_partial():
     assert partial.to_json()["depth_achieved"] == 0
 
 
-# a level drops its last decoded letter when that letter's image is a proper
-# prefix of another image: {1, 2} under g (011, 0, 01), {2} under f (0121,
-# 021, 01), none under h (1210, 120, 10)
+# a level with nothing truncated drops its last decoded letter when that
+# letter's image is a proper prefix of another image: {1, 2} under g (011,
+# 0, 01), {2} under f (0121, 021, 01), none under h (1210, 120, 10)
 TAIL_TRIMS = {"g": (0, 1, 1), "f": (0, 0, 1), "h": (0, 0, 0)}
 
 
@@ -271,7 +271,7 @@ def test_tail_trim_follows_the_last_decoded_letter(name, truncated):
         preimage = w3("012" * 4) + Word(bytes([last]), 3)
         result = structure.DecodeResult(preimage, 0, truncated)
         with mock.patch.object(structure, "decode", return_value=result):
-            level = decompose(w, name != "g").levels[-1]
+            level = decompose(w, 0 if name == "g" else 1).levels[-1]
         assert level.morphism == name
         assert level.tail_trim == (0 if truncated else trim)
         # the reports cover the level word after the tail trim

@@ -192,8 +192,10 @@ def test_factors_of_length():
     assert factors_of_length(u, 0) == {w2("")}
 
 
-@pytest.mark.parametrize("count", [factors_of_length, complexity_profile],
-                         ids=["factors_of_length", "complexity_profile"])
+@pytest.mark.parametrize("count", [factors_of_length, complexity_profile,
+                                   factor_complexity],
+                         ids=["factors_of_length", "complexity_profile",
+                              "factor_complexity"])
 def test_negative_factor_length_is_refused(count):
     with pytest.raises(ValueError,
                        match="^factor length must be non-negative$"):
@@ -218,9 +220,6 @@ def test_factor_complexity_past_the_word_builds_no_table():
     assert peak < 64 * 1024
     assert factor_complexity(w2("0110"), 5) == 0
     assert factor_complexity(w2("0110"), 4) == 1
-    with pytest.raises(ValueError,
-                       match="^factor length must be non-negative$"):
-        factor_complexity(w2("0110"), -1)
 
 
 def test_factor_complexity_on_rote_prefix():
