@@ -24,9 +24,9 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, partial
-from typing import NamedTuple, Sequence
 
 from .morphisms import NAMED_MORPHISMS, equal_on_letters, named
 from .properness import DEFAULT_LENGTH_GUARD
@@ -34,8 +34,8 @@ from .repetitions import exponent, is_power_free
 from .search import longest_avoiding, run_reference_table
 from .structure import (CaseTag, _grammar, classify_by_length4, decode,
                         decompose, generate_case_word)
-from .words import (LengthLimitError, Word, complement, complexity_profile,
-                    digit_alphabet, parse_word)
+from .words import (LengthLimitError, Record, Word, complement,
+                    complexity_profile, digit_alphabet, parse_word)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -134,7 +134,7 @@ def _load_input(args, alphabet_size: int | None = None) -> Word:
     return w if alphabet_size is None else Word(w.letters, alphabet_size)
 
 
-class Outcome(NamedTuple):
+class Outcome(Record):
     """What a command returns: its report fields and its plain output.
 
     ``records`` are JSON objects printed one per line before the report
@@ -144,8 +144,12 @@ class Outcome(NamedTuple):
     parameters: dict
     results: object
     lines: list[str]
-    status: str = "ok"
-    records: Sequence[dict] = ()
+    status: str
+    records: Sequence[dict]
+
+    def __init__(self, parameters, results, lines, status="ok", records=()):
+        self.__dict__.update(parameters=parameters, results=results,
+                             lines=lines, status=status, records=records)
 
 
 # ---------------------------------------------------------------- commands

@@ -21,10 +21,9 @@ replace per letter puts its image in (``_substitute``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .words import AlphabetError, Word, digit_alphabet, parse_word
+from .words import AlphabetError, Record, Word, digit_alphabet, parse_word
 
 _PLACEHOLDERS = bytes(range(0x80, 0x100)) * 2  # letter a -> byte 0x80 + a
 _LETTERS = b"\xff" * 0x80 + bytes(range(0x80))  # and back; a letter -> 0xFF
@@ -38,21 +37,23 @@ def _substitute(images: Sequence[Word], data: bytes) -> bytes:
     return data
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     source_alphabet: int
     target_alphabet: int
     images: tuple[Word, ...]
 
-    def __post_init__(self):
-        if len(self.images) != self.source_alphabet:
+    def __init__(self, source_alphabet: int, target_alphabet: int,
+                 images: tuple[Word, ...]):
+        if len(images) != source_alphabet:
             raise AlphabetError(
-                f"expected {self.source_alphabet} images, got {len(self.images)}")
-        for a, img in enumerate(self.images):
-            if img.alphabet_size != self.target_alphabet:
+                f"expected {source_alphabet} images, got {len(images)}")
+        for a, img in enumerate(images):
+            if img.alphabet_size != target_alphabet:
                 raise AlphabetError(
                     f"image of {a} is over a {img.alphabet_size}-letter alphabet, "
-                    f"expected {self.target_alphabet}")
+                    f"expected {target_alphabet}")
+        self.__dict__.update(source_alphabet=source_alphabet,
+                             target_alphabet=target_alphabet, images=images)
 
     @classmethod
     def from_strings(cls, images: Sequence[str],

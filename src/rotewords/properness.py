@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .repetitions import _runs
@@ -48,7 +47,6 @@ FORBIDDEN_FACTORS = (
 DEFAULT_LENGTH_GUARD = 20000
 
 
-@dataclass(frozen=True)
 class XyxyxOccurrence(Record):
     """Factor u[start : start + 3*x_length + 2*y_length] of shape xyxyx."""
 
@@ -56,12 +54,15 @@ class XyxyxOccurrence(Record):
     x_length: int
     y_length: int
 
+    def __init__(self, start, x_length, y_length):
+        self.__dict__.update(start=start, x_length=x_length,
+                             y_length=y_length)
+
     @property
     def total_length(self) -> int:
         return 3 * self.x_length + 2 * self.y_length
 
 
-@dataclass(frozen=True)
 class Violation(Record):
     """Why a word fails the properness test and where.
 
@@ -74,8 +75,10 @@ class Violation(Record):
     position: int
     detail: object
 
+    def __init__(self, kind, position, detail):
+        self.__dict__.update(kind=kind, position=position, detail=detail)
 
-@dataclass(frozen=True)
+
 class PropernessReport(Record):
     """One-sided properness evidence on a finite level word.
 
@@ -93,6 +96,10 @@ class PropernessReport(Record):
     checked_length: int
     trim: int
     violation: Violation | None
+
+    def __init__(self, checked_length, trim, violation):
+        self.__dict__.update(checked_length=checked_length, trim=trim,
+                             violation=violation)
 
     @property
     def clean(self) -> bool:

@@ -37,15 +37,13 @@ row agree at p.  Most periods hold no such run and build no mask.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partialmethod
 
 from .words import _TO_DIGITS, MAX_ALPHABET, Record, Word
 
 
-@dataclass(frozen=True, eq=False)
-class Exponent:
+class Exponent(Record):
     """Exact word exponent: ``length`` over smallest ``period``.
 
     The pair is kept unreduced so that ``length`` always equals the length
@@ -55,11 +53,12 @@ class Exponent:
     length: int
     period: int
 
-    def __post_init__(self):
-        if self.period < 1:
+    def __init__(self, length: int, period: int):
+        if period < 1:
             raise ValueError("period must be at least 1")
-        if self.length < self.period:
+        if length < period:
             raise ValueError("length must be at least the period")
+        self.__dict__.update(length=length, period=period)
 
     @property
     def value(self) -> Fraction:
@@ -82,13 +81,15 @@ class Exponent:
         return f"Exponent({self.length}/{self.period})"
 
 
-@dataclass(frozen=True)
 class RepetitionWitness(Record):
     """A factor [start, start+length) whose smallest period is ``period``."""
 
     start: int
     length: int
     period: int
+
+    def __init__(self, start, length, period):
+        self.__dict__.update(start=start, length=length, period=period)
 
 
 def smallest_period(w: Word) -> int:

@@ -37,19 +37,22 @@ and reports agreement row by row.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from .words import AlphabetError, Record, Word, parse_word
 
 
-@dataclass(frozen=True)
 class SearchOutcome(Record):
     max_length: int
     witness: Word            # lexicographically least word of max_length
     reached_target: bool
     nodes_explored: int
+
+    def __init__(self, max_length, witness, reached_target, nodes_explored):
+        self.__dict__.update(max_length=max_length, witness=witness,
+                             reached_target=reached_target,
+                             nodes_explored=nodes_explored)
 
 
 def _as_factor_bytes(forbidden: Iterable[Word | str]) -> tuple[bytes, ...]:
@@ -203,7 +206,6 @@ def _reference_rows() -> tuple[tuple[tuple[str, ...], int], ...]:
 REFERENCE_ROWS: tuple[tuple[tuple[str, ...], int], ...] = _reference_rows()
 
 
-@dataclass(frozen=True)
 class TableRow(Record):
     forbidden: tuple[str, ...]
     expected: int
@@ -211,6 +213,11 @@ class TableRow(Record):
     witness: Word
     nodes: int
     match: bool
+
+    def __init__(self, forbidden, expected, computed, witness, nodes, match):
+        self.__dict__.update(forbidden=forbidden, expected=expected,
+                             computed=computed, witness=witness, nodes=nodes,
+                             match=match)
 
 
 def run_reference_table(rows: Sequence[tuple[Sequence[str], int]] | None = None,

@@ -54,7 +54,6 @@ once and runs the xyxyx search once, however many violations it forgives.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, partial
 from itertools import product
@@ -86,8 +85,7 @@ FACTOR_SETS: dict[CaseTag, frozenset[bytes]] = {
 _BINARY_4 = tuple(bytes(f) for f in product((0, 1), repeat=4))  # by code
 
 
-@dataclass(frozen=True)
-class FactorClass:
+class FactorClass(Record):
     """Outcome of the length-4 classification.
 
     Exactly one of the three shapes applies: a definite ``tag``; an
@@ -96,9 +94,13 @@ class FactorClass:
     factors that do not fit the best-matching case.
     """
 
-    tag: CaseTag | None = None
-    compatible: tuple[CaseTag, ...] = ()
-    offenders: tuple[Word, ...] = ()
+    tag: CaseTag | None
+    compatible: tuple[CaseTag, ...]
+    offenders: tuple[Word, ...]
+
+    def __init__(self, tag=None, compatible=(), offenders=()):
+        self.__dict__.update(tag=tag, compatible=compatible,
+                             offenders=offenders)
 
     @property
     def is_definite(self) -> bool:
@@ -158,7 +160,6 @@ class DecodeError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class DecodeResult(Record):
     """Preimage plus the letters discarded at either end of the input.
 
@@ -169,6 +170,10 @@ class DecodeResult(Record):
     preimage: Word
     dropped_prefix: int
     truncated_suffix: int
+
+    def __init__(self, preimage, dropped_prefix, truncated_suffix):
+        self.__dict__.update(preimage=preimage, dropped_prefix=dropped_prefix,
+                             truncated_suffix=truncated_suffix)
 
 
 @cache
@@ -229,7 +234,6 @@ f_decode = partial(decode, named("f"))
 h_decode = partial(decode, named("h"))
 
 
-@dataclass(frozen=True)
 class LevelRecord(Record):
     """One decoding level: the morphism inverted, its result, and reports.
 
@@ -245,11 +249,18 @@ class LevelRecord(Record):
     proper: PropernessReport
     antiproper: PropernessReport | None
 
+    def __init__(self, morphism, decode, tail_trim, proper, antiproper):
+        self.__dict__.update(morphism=morphism, decode=decode,
+                             tail_trim=tail_trim, proper=proper,
+                             antiproper=antiproper)
 
-@dataclass(frozen=True)
-class DecompositionCertificate:
+
+class DecompositionCertificate(Record):
     factor_class: FactorClass
     levels: tuple[LevelRecord, ...]
+
+    def __init__(self, factor_class, levels):
+        self.__dict__.update(factor_class=factor_class, levels=levels)
 
     @property
     def depth_achieved(self) -> int:
@@ -257,7 +268,7 @@ class DecompositionCertificate:
         return max(len(self.levels) - 1, 0)
 
     def to_json(self) -> dict:
-        # not a Record: its key "class" is a Python keyword, so no field
+        # not its fields: the key "class" is a Python keyword, so no field
         # can carry that name
         return {"class": self.factor_class.to_json(),
                 "levels": _json(self.levels),

@@ -14,9 +14,8 @@ one word per line, so an alphabet has at most 10 letters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from collections.abc import Iterable, Iterator
 from itertools import accumulate
-from typing import Iterable, Iterator
 
 
 class ParseError(ValueError):
@@ -40,25 +39,69 @@ _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FROM_DIGITS = bytes(b - 48 if 48 <= b < 58 else 0xFF for b in range(256))
 
 
-@dataclass(frozen=True)
-class Word:
+class Record:
+    """An immutable value whose fields its class annotates, in order.
+
+    Each subclass's ``__init__`` stores exactly those fields, in that
+    order, with one ``self.__dict__.update``: a signature of its own binds
+    arguments faster than one generic ``__init__`` could.  A record equals
+    another of the same class with equal fields and hashes by its fields;
+    its repr is ``Cls(field=value, ...)``; setting or deleting an
+    attribute raises AttributeError; and ``to_json()`` is its fields in
+    order, with words as digit strings, tuples as lists and records as
+    their own JSON.
+
+    Field names are read once per class, and no method is written into a
+    subclass's namespace: a subclass keeps the methods that a class
+    decorator gives it, and still inherits ``to_json``.
+    """
+
+    _fields = ()        # the field names, in order
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable")
+
+    def to_json(self) -> dict:
+        return {f: _json(getattr(self, f)) for f in self._fields}
+
+
+class Word(Record):
     """A finite word; ``letters[i]`` is the integer letter at position i."""
 
     letters: bytes
     alphabet_size: int
 
-    def __post_init__(self):
-        if not isinstance(self.letters, bytes):
-            object.__setattr__(self, "letters", bytes(self.letters))
-        if not 1 <= self.alphabet_size <= MAX_ALPHABET:
+    def __init__(self, letters: bytes, alphabet_size: int):
+        if not isinstance(letters, bytes):
+            letters = bytes(letters)
+        if not 1 <= alphabet_size <= MAX_ALPHABET:
             raise AlphabetError(f"alphabet size must be in 1..{MAX_ALPHABET}, "
-                                f"got {self.alphabet_size}")
-        ok = bytes(range(self.alphabet_size))
-        if self.letters.translate(None, ok):
-            bad = len(self.letters) - len(self.letters.lstrip(ok))
+                                f"got {alphabet_size}")
+        ok = bytes(range(alphabet_size))
+        if letters.translate(None, ok):
+            bad = len(letters) - len(letters.lstrip(ok))
             raise AlphabetError(
-                f"letter {self.letters[bad]} at position {bad} is outside "
-                f"the {self.alphabet_size}-letter alphabet")
+                f"letter {letters[bad]} at position {bad} is outside "
+                f"the {alphabet_size}-letter alphabet")
+        self.__dict__.update(letters=letters, alphabet_size=alphabet_size)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -83,13 +126,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, k={self.alphabet_size})"
-
-
-class Record:
-    """A result dataclass whose JSON is its fields in declaration order."""
-
-    def to_json(self) -> dict:
-        return {f.name: _json(getattr(self, f.name)) for f in fields(self)}
 
 
 def _json(value):

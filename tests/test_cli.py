@@ -1,6 +1,8 @@
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 from itertools import accumulate
 from pathlib import Path
@@ -760,3 +762,16 @@ SEARCH_GOLDEN = json.loads(
                          ids=[" ".join(e["argv"]) for e in SEARCH_GOLDEN])
 def test_search_stdout_is_pinned(capsys, entry):
     test_cli_stdout_is_unchanged(capsys, entry)
+
+
+def test_import_loads_no_dataclasses_typing_or_inspect():
+    # every CLI process pays for what importing the package loads; -S
+    # keeps site, which some installs use to preload typing, out of it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import rotewords.cli; "
+            "print(sorted({'dataclasses', 'typing', 'inspect'} "
+            "& set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
