@@ -29,9 +29,11 @@ only rises): need(P) finds every run a later period asks for, and a run is
 kept if it reaches need(p).  Both branches read need(p) anew after each
 run they yield.  Shorter strides read each period off one full mask with
 ``bytes.find``, but only once the period passes a cheaper test: the word
-is packed once into an int of w = 1, 2 or 4 bits per letter, and a few
-shifts, ANDs and XORs of it tell whether any L = need(p) positions in a
-row agree at p.  Most periods hold no such run and build no mask.
+is packed once into an int of w = 1, 2 or 4 bits per letter: one XOR
+marks the positions that agree at p, and shift-ANDs that double the span
+while it fits in L = need(p), then one last shift to L, tell whether any
+L in a row agree, stopping once none is left.  Most periods hold no such
+run and build no mask.
 """
 
 from __future__ import annotations
@@ -148,8 +150,10 @@ def _packed(data: bytes) -> tuple[int, int, int]:
 def _holds_run(packed: tuple[int, int, int], p: int, k: int) -> bool:
     """Whether some k positions i in a row have data[i] == data[i+p], read
     off the packed word: lane j of x ^ (x >> w*p) is zero iff position
-    n-p-1-j agrees, and each step z &= z >> w*t keeps the lanes that start
-    t more agreements in a row.  True for k = 0."""
+    n-p-1-j agrees.  z keeps the lanes that start span agreements in a
+    row: z &= z >> w*span doubles span while it fits in k, one last shift
+    of k - span brings it to k, and the ladder stops once no lane is left.
+    True for k = 0."""
     x, w, ones = packed
     d = x ^ (x >> w * p)
     if w > 1:                   # fold each lane into its low bit
@@ -157,10 +161,11 @@ def _holds_run(packed: tuple[int, int, int], p: int, k: int) -> bool:
     if w > 2:
         d |= d >> 2
     z, span = (ones >> w * p) & ~d, 1
-    while span < k and z:
-        t = min(span, k - span)
-        z &= z >> w * t
-        span += t
+    while z and span + span <= k:
+        z &= z >> w * span
+        span += span
+    if z and span < k:
+        z &= z >> w * (k - span)
     return z != 0 or k == 0
 
 

@@ -140,8 +140,32 @@ def packed_case(draw):
     return bytes(data), p, draw(st.integers(0, n - p + 1))
 
 
+def one_run(base: bytes, m: int, k: int):
+    """(data, p, k): base repeated to len(base) + m letters between two
+    letters that break its period, so that at p = len(base) the word's one
+    run has m agreements."""
+    p = len(base)
+    body = (base * (m // p + 2))[:p + m]
+    return bytes([base[-1] ^ 1]) + body + bytes([base[m % p] ^ 1]), p, k
+
+
 @settings(max_examples=500, deadline=None)
 @given(packed_case())
+# a run of k and one of k - 1 at k = 2**m - 1, 2**m and 2**m + 1, in lanes
+# of 1, 2 and 4 bits: the doubling fills k exactly, or stops short and one
+# last shift of k - span (2**(m-1) - 1 or 1) ends it
+@example(one_run(b"\0\1\1", 7, 7))
+@example(one_run(b"\3\0\2\1\2", 7, 8))
+@example(one_run(b"\7\0\4\2", 8, 8))
+@example(one_run(b"\0\1\1", 8, 9))
+@example(one_run(b"\3\0\2\1\2", 9, 9))
+@example(one_run(b"\7\0\4\2", 6, 7))
+@example(one_run(b"\7\0\4\2", 63, 63))
+@example(one_run(b"\0\1\1", 63, 64))
+@example(one_run(b"\3\0\2\1\2", 64, 64))
+@example(one_run(b"\7\0\4\2", 64, 65))
+@example(one_run(b"\0\1\1", 65, 65))
+@example(one_run(b"\3\0\2\1\2", 62, 63))
 # lanes of 1, 2 and 4 bits; k = 0 and n - p = 0
 @example((b"\0\1" * 20, 2, 38))
 @example((b"\0\1\3\2" * 10 + b"\1", 4, 37))
