@@ -11,10 +11,11 @@ word (f's fixed point on 0); the reversed classes peel through h (its
 fixed point on 1) instead.  ``_BARRED`` and ``_REVERSED`` state this once
 for the factor sets, ``decompose`` and ``generate_case_word``, which walk
 their ``depth`` levels one at a time, never as a list.
-``generate_case_word`` builds a word top down from a fixed-point prefix,
-and each level drops the letters the answer does not reach before
-applying its morphism, so no image built passes the requested length by
-4 letters or more.
+``generate_case_word`` builds a word top down from the seed letter, through
+as many levels as the requested length needs, and each level drops the
+letters the answer does not reach before applying its morphism, so no image
+built passes that length by 4 letters or more.  ``depth`` bounds only the
+refusal: the word is the same at every depth.
 
 ``decode`` inverts one application of a morphism on a finite factor of
 an image, reading its grammar off the morphism's images:
@@ -53,7 +54,7 @@ once and runs the xyxyx search once, however many violations it forgives.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import operator
 from enum import Enum
 from functools import cache, partial
 from itertools import product
@@ -328,12 +329,12 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
 
 def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
                        limit: int | None = None) -> Word:
-    """Construct a word of the designated class from a fixed-point prefix.
+    """Construct a word of the designated class from its seed letter.
 
-    Class F is g applied to depth-fold f-images of a prefix of f's fixed
-    point from 0; the reversed classes use h from its fixed point on 1,
-    the only letter h is prolongable on.  Bar classes are complements.
-    The result is truncated to exactly ``min_length`` letters.
+    Class F is g applied to f's fixed point from 0; the reversed classes
+    use h from its fixed point on 1, the only letter h is prolongable on.
+    Bar classes are complements.  The result is truncated to exactly
+    ``min_length`` letters and is the same at every depth.
 
     Before any image is built, LengthLimitError is raised when
     ``min_length`` exceeds ``limit`` or when a word of the first build
@@ -341,12 +342,11 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
     would; their lengths follow from the seed prefix's letter counts,
     carried one level at a time, so the refusal comes at the first level
     over ``limit`` and costs the same at any depth beyond it.
-    The word is then built once, from the shortest fixed-point prefix whose
-    letters' images g(inner^depth(a)) reach ``min_length`` letters, and
-    level by level as the module docstring describes.
+    The word is then built from the seed letter, through as many levels
+    as ``min_length`` needs, as the module docstring describes.
     """
     tag = CaseTag(case)
-    if depth < 0:
+    if operator.index(depth) < 0:
         raise ValueError("depth must be non-negative")
     if min_length < 0:
         raise ValueError("length must be non-negative")
@@ -367,18 +367,12 @@ def generate_case_word(case: CaseTag | str, depth: int, min_length: int,
                     f"generate depth {depth} builds a word of {sum(counts)} "
                     f"letters, which exceeds the limit {limit}")
     tables = [[len(img) for img in g.images]]  # tables[k][a] = |g inner^k (a)|
-    for _ in range(depth):
+    while tables[-1][seed] < min_length:
         tables.append([sum(tables[-1][b] for b in img.letters)
                        for img in inner.images])
-    prefix = inner.iterate_prefix(seed, -(-min_length // min(tables[-1])))
-
-    def built(m: int) -> int:   # the length prefix[:m] builds to
-        return sum(size * prefix.letters.count(a, 0, m)
-                   for a, size in enumerate(tables[-1]))
-
-    w = prefix[:bisect_left(range(len(prefix) + 1), min_length, key=built)]
-    total = built(len(w))   # the length w builds to, the same at each level
-    for k in range(depth, -1, -1):
+    w = inner.images[seed][:1]
+    total = tables[-1][seed]   # the length w builds to, the same at each level
+    for k in range(len(tables) - 1, -1, -1):
         # drop the last letters whose images the answer does not reach
         while w and total - tables[k][w[-1]] >= min_length:
             total -= tables[k][w[-1]]

@@ -353,7 +353,12 @@ def test_generate_builds_within_one_letter_image_of_the_length(capsys, case,
                            str(depth), "--length", str(length))
     assert code == 0
     assert len(out.strip()) == length
-    assert len(sizes) == depth + 1
+    # the same images as at depth 0: the levels follow the length alone
+    n = len(sizes)
+    with mock.patch.object(Morphism, "apply", apply):
+        run(capsys, "generate", "--case", case, "--depth", "0", "--length",
+            str(length))
+    assert sizes[n:] == sizes[:n]
     assert max(sizes) <= length + 3
 
 

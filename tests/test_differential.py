@@ -2,8 +2,8 @@
 period in the period loop, and the banded scan of an octave of periods),
 the packed test that lets a short period skip its mask, the period loop
 itself, the whole-word checks built on them, the properness reports, the
-block decoder, the length-4 classification and the factor-complexity
-table, against the brute-force oracles.
+block decoder, the length-4 classification, the factor-complexity table
+and the class words, against the brute-force oracles.
 
 The whole-word checks band their periods only once runs of 2 *
 _BAND_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -30,10 +30,11 @@ from rotewords import repetitions
 from rotewords.repetitions import (_BAND_STRIDE, _band_runs, _holds_run,
                                    _packed, _runs)
 
-from oracles import (brute_agreement_runs, brute_avoids, brute_best_run,
-                     brute_classify, brute_decode, brute_dominated_xyxyx,
-                     brute_factor_count, brute_max_exponent, brute_report,
-                     brute_runs, brute_smallest_period)
+from oracles import (brute_agreement_runs, brute_apply, brute_avoids,
+                     brute_best_run, brute_classify, brute_decode,
+                     brute_dominated_xyxyx, brute_factor_count,
+                     brute_fixed_point_prefix, brute_max_exponent,
+                     brute_report, brute_runs, brute_smallest_period)
 
 CROSSOVER = 2 * _BAND_STRIDE - 1       # least min_len banded by default
 
@@ -651,3 +652,44 @@ def test_classify_matches_brute_force(data):
     got = (cls.tag and cls.tag.value, tuple(t.value for t in cls.compatible),
            tuple(map(str, cls.offenders)))
     assert got == brute_classify(data)
+
+
+# |g f^k(0)| = 3, 7, 23, 70 and |g h^k(1)| = 1, 6, 17, 53 for k = 0..3: the
+# examples sit one letter under, at and over each, where the number of
+# levels built changes
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(CaseTag)), st.integers(0, 16),
+       st.integers(0, 3000))
+@example(CaseTag.F, 0, 0)
+@example(CaseTag.FREV, 0, 0)
+@example(CaseTag.F, 0, 2)
+@example(CaseTag.F, 0, 3)
+@example(CaseTag.F, 0, 4)
+@example(CaseTag.F, 1, 6)
+@example(CaseTag.F, 1, 7)
+@example(CaseTag.F, 1, 8)
+@example(CaseTag.FBAR, 2, 22)
+@example(CaseTag.FBAR, 2, 23)
+@example(CaseTag.FBAR, 2, 24)
+@example(CaseTag.FBAR, 3, 69)
+@example(CaseTag.FBAR, 3, 70)
+@example(CaseTag.FBAR, 3, 71)
+@example(CaseTag.FREV, 0, 1)
+@example(CaseTag.FREV, 0, 2)
+@example(CaseTag.FREV, 1, 5)
+@example(CaseTag.FREV, 1, 6)
+@example(CaseTag.FREV, 1, 7)
+@example(CaseTag.FBARREV, 2, 16)
+@example(CaseTag.FBARREV, 2, 17)
+@example(CaseTag.FBARREV, 2, 18)
+@example(CaseTag.FBARREV, 3, 52)
+@example(CaseTag.FBARREV, 3, 53)
+@example(CaseTag.FBARREV, 3, 54)
+def test_generate_matches_brute_force(case, depth, n):
+    reversed_ = case in (CaseTag.FREV, CaseTag.FBARREV)
+    inner, seed = (named("h"), 1) if reversed_ else (named("f"), 0)
+    expected = brute_apply(named("g"),
+                           brute_fixed_point_prefix(inner, seed, n))[:n]
+    if case in (CaseTag.FBAR, CaseTag.FBARREV):
+        expected = bytes(1 - b for b in expected)
+    assert generate_case_word(case, depth, n).letters == expected

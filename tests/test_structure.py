@@ -412,3 +412,25 @@ def test_generate_depths_are_prefix_compatible():
     for case, length in product(CaseTag, [*range(40), 400, 2000]):
         words = {generate_case_word(case, depth, length) for depth in range(5)}
         assert len(words) == 1 and len(words.pop()) == length
+
+
+def test_generate_without_limit_holds_nothing_per_depth():
+    # with no limit the depth is read by nothing but its check, so a huge
+    # one builds the depth-0 word at its cost
+    for case in CaseTag:
+        expected = generate_case_word(case, 0, 100)
+        tracemalloc.start()
+        try:
+            w = generate_case_word(case, 10**4, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w == expected
+        assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("depth", [2.5, "2"])
+@pytest.mark.parametrize("limit", [None, 20000])
+def test_generate_depth_must_be_an_integer(depth, limit):
+    with pytest.raises(TypeError):
+        generate_case_word("F", depth, 100, limit=limit)
