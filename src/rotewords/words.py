@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from itertools import accumulate
+from math import isqrt
 
 
 class ParseError(ValueError):
@@ -196,10 +197,10 @@ def factors_of_length(w: Word, n: int) -> set[Word]:
     """All distinct length-n factors of w; empty set when n exceeds |w|."""
     if n < 0:
         raise ValueError("factor length must be non-negative")
-    k = w.alphabet_size
-    data = w.letters
-    return {Word(chunk, k)
-            for chunk in {data[i:i + n] for i in range(len(data) - n + 1)}}
+    if n > len(w):
+        return set()
+    return {Word(window, w.alphabet_size)
+            for window in _windows(w.letters, n) if b"\xff" not in window}
 
 
 def factor_complexity(w: Word, n: int) -> int:
@@ -216,17 +217,40 @@ def complexity_profile(w: Word, max_n: int) -> list[int]:
     sorted order a window shares its first ``lcp`` bytes with the one before
     it, so it adds one new factor for each length from lcp+1 to its unpadded
     length (never below lcp: windows that agree into the padding are equal).
-    Memory is (distinct windows) x L bytes.
+    The windows are cut from samples t letters apart (see ``_windows``), so
+    on a word of complexity near 2n this takes about 2 sqrt(2 |w| L)
+    slices, not |w|.  Memory is (distinct samples) x (L + t - 1) bytes,
+    then (distinct windows) x L.
     """
     if max_n < 0:
         raise ValueError("factor length must be non-negative")
     data, size = w.letters, min(max_n, len(w))
-    padded = data + b"\xff" * size
+    windows = _windows(data, size)
+    windows.discard(b"\xff" * size)    # position |w|: all padding
     new_from = [0] * (size + 2)     # difference array over lengths
     previous = (1 << 8 * size) - 1  # all padding: shares no letter
-    for window in sorted({padded[i:i + size] for i in range(len(data))}):
+    for window in sorted(windows):
         value = int.from_bytes(window, "big")
         new_from[size - ((value ^ previous).bit_length() + 7) // 8 + 1] += 1
         new_from[len(window.rstrip(b"\xff")) + 1] -= 1
         previous = value
     return [1, *accumulate(new_from[1:size + 1])] + [0] * (max_n - size)
+
+
+def _stride(length: int, size: int) -> int:
+    """The spacing t of ``_windows``' samples: on a word of complexity near
+    2n it takes about length / t samples and 2 size t cuts, least here."""
+    return max(1, isqrt(length // (2 * size))) if size else 1
+
+
+def _windows(data: bytes, size: int) -> set[bytes]:
+    """The distinct ``size``-byte windows at positions 0..|data| of data
+    padded with 0xFF; the last is all padding.  Position i lies in the
+    (size + t - 1)-byte sample at t * (i // t), so cutting each distinct
+    sample at offsets 0..t-1 finds every window, and past |data| only the
+    all-padding one."""
+    step = _stride(len(data), size)
+    span = size + step - 1
+    padded = data + b"\xff" * span
+    samples = {padded[j:j + span] for j in range(0, len(data) + 1, step)}
+    return {sample[i:i + size] for sample in samples for i in range(step)}

@@ -1,12 +1,11 @@
 """Brute-force reference implementations used to pin expected values.
 
 Everything here follows the definitions directly (enumerate, compare,
-count) and stays independent of the library's optimised code paths.  Two
-use plain library helpers: ``brute_longest_avoiding`` checks its nodes
+count) and stays independent of the library's optimised code paths.  One
+uses a plain library helper: ``brute_longest_avoiding`` checks its nodes
 with the library's ``suffix_is_52plus_power``, which the repetition tests
 compare with ``brute_suffix_has_52plus`` on every binary word of up to 14
-letters, and ``brute_classify`` reads every window with
-``factors_of_length``.
+letters.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from rotewords.repetitions import suffix_is_52plus_power
-from rotewords.words import Word, factors_of_length
+from rotewords.words import Word
 
 
 def all_words(alphabet_size: int, max_len: int, min_len: int = 0):
@@ -141,6 +140,11 @@ def brute_proper(data: bytes):
 
 def brute_factor_count(data: bytes, n: int) -> int:
     return len({tuple(data[i:i + n]) for i in range(len(data) - n + 1)})
+
+
+def brute_factors(data: bytes, n: int) -> set[bytes]:
+    """The distinct length-n factors of data, one slice per position."""
+    return {data[i:i + n] for i in range(len(data) - n + 1)}
 
 
 def brute_report(data: bytes, trim_bound: int, mirrored: bool):
@@ -298,11 +302,11 @@ def brute_classify(data: bytes):
     """(tag, compatible, offenders) of a binary word, as FactorClass holds
     them but with tags by value and offenders as digit strings.
 
-    The observed set is read with ``factors_of_length``.  A case whose set
-    equals it is the tag; else every case whose set holds it is compatible;
-    else the offenders are the observed factors outside the case that
-    shares the most of them, ties going to the earliest in CASE_ORDER."""
-    observed = {str(f) for f in factors_of_length(Word(data, 2), 4)}
+    The observed set is every length-4 window.  A case whose set equals it
+    is the tag; else every case whose set holds it is compatible; else the
+    offenders are the observed factors outside the case that shares the
+    most of them, ties going to the earliest in CASE_ORDER."""
+    observed = {"".join(map(str, f)) for f in brute_factors(data, 4)}
     sets = _case_factor_sets()
     for tag in CASE_ORDER:
         if observed == sets[tag]:

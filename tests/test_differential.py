@@ -3,7 +3,8 @@ period in the period loop, and the banded scan of an octave of periods),
 the packed test that lets a short period skip its mask, the period loop
 itself, the whole-word checks built on them, the properness reports, the
 block decoder, the length-4 classification, the factor-complexity table
-and the class words, against the brute-force oracles.
+and factor sets (cut from samples of the word at any stride) and the class
+words, against the brute-force oracles.
 
 The whole-word checks band their periods only once runs of 2 *
 _BAND_STRIDE - 1 letters are asked for, which short words never reach, so
@@ -23,16 +24,17 @@ from hypothesis import strategies as st
 
 from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError,
                        RepetitionWitness, Word, classify_by_length4,
-                       complexity_profile, decode, find_dominated_xyxyx,
-                       forgiving_scan, generate_case_word, is_power_free,
-                       max_factor_exponent, named, smallest_period)
-from rotewords import repetitions
+                       complexity_profile, decode, factors_of_length,
+                       find_dominated_xyxyx, forgiving_scan,
+                       generate_case_word, is_power_free, max_factor_exponent,
+                       named, smallest_period)
+from rotewords import repetitions, words
 from rotewords.repetitions import (_BAND_STRIDE, _band_runs, _holds_run,
                                    _packed, _runs)
 
 from oracles import (brute_agreement_runs, brute_apply, brute_avoids,
                      brute_best_run, brute_classify, brute_decode,
-                     brute_dominated_xyxyx, brute_factor_count,
+                     brute_dominated_xyxyx, brute_factor_count, brute_factors,
                      brute_fixed_point_prefix, brute_max_exponent,
                      brute_report, brute_runs, brute_smallest_period)
 
@@ -617,6 +619,84 @@ def test_complexity_profile_matches_brute_force(case, max_n):
     data, k = case
     assert complexity_profile(Word(data, k), max_n) == [
         brute_factor_count(data, n) for n in range(max_n + 1)]
+
+
+# 2000-letter prefixes of the f and h fixed points and of g of the f one.
+LONG_CLASS_SOURCES = [
+    (named("f").iterate_prefix(0, 2000).letters, 3),
+    (named("h").iterate_prefix(1, 2000).letters, 3),
+    (named("g").apply(named("f").iterate_prefix(0, 1100)).letters[:2000], 2)]
+
+
+@st.composite
+def sampled_case(draw):
+    """(data, k, max_n) with 1 <= max_n <= |data| / 8, so that ``_windows``
+    cuts its windows from samples at least 2 letters apart: a random word over
+    1, 2, 3 or 10 letters, a periodic word with up to 3 letters redrawn, or
+    a class window of up to 2000 letters."""
+    kind = draw(st.sampled_from(["random", "periodic", "window"]))
+    n = draw(st.integers(8, 2000))
+    if kind == "window":
+        data, k = draw(st.sampled_from(LONG_CLASS_SOURCES))
+        start = draw(st.integers(0, len(data) - n))
+        data = data[start:start + n]
+    elif kind == "random":
+        k = draw(st.sampled_from([1, 2, 3, 10]))
+        data = draw(letters(k, n, n))
+    else:
+        k = draw(st.sampled_from([1, 2, 3, 10]))
+        base = draw(letters(k, 1, 8))
+        redrawn = bytearray((base * n)[:n])
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            redrawn[i] = draw(st.integers(0, k - 1))
+        data = bytes(redrawn)
+    return data, k, draw(st.integers(1, min(40, n // 8)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_case())
+@example((bytes(16), 1, 0))
+@example((bytes([9, 0]) * 8, 10, 1))
+@example((bytes([0, 1, 1, 0]) * 500, 2, 0))
+@example((bytes([0, 1, 1, 0]) * 500, 2, 1))
+def test_complexity_profile_from_samples_matches_brute_force(case):
+    data, k, max_n = case
+    assert complexity_profile(Word(data, k), max_n) == [
+        brute_factor_count(data, n) for n in range(max_n + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampled_case())
+@example((bytes(16), 1, 0))
+@example((bytes([9, 0]) * 8, 10, 1))
+def test_factors_of_length_from_samples_match_brute_force(case):
+    data, k, max_n = case
+    for n in {0, 1, max_n}:
+        factors = factors_of_length(Word(data, k), n)
+        assert {f.alphabet_size for f in factors} == {k}
+        assert {f.letters for f in factors} == brute_factors(data, n)
+
+
+# Words of 0 to 40 letters, some shorter than every stride below and some
+# ending in letter 9, next to the padding.
+FIXED_WORDS = [(b"", 1), (bytes([0]), 2), (bytes([0, 1, 1, 0]), 2),
+               (bytes([9] * 5), 10), (bytes(range(10)) * 2, 10),
+               (named("g").apply(named("f").iterate_prefix(0, 40))
+                .letters[:40], 2),
+               (named("h").iterate_prefix(1, 33).letters, 3)]
+
+
+@pytest.mark.parametrize("stride", range(1, 17))
+def test_windows_cut_at_any_stride_match_brute_force(stride):
+    with mock.patch.object(words, "_stride", lambda length, size: stride):
+        for data, k in FIXED_WORDS:
+            w = Word(data, k)
+            counts = [brute_factor_count(data, n)
+                      for n in range(len(data) + 3)]
+            for max_n in range(len(data) + 3):
+                assert complexity_profile(w, max_n) == counts[:max_n + 1]
+                assert ({f.letters for f in factors_of_length(w, max_n)}
+                        == brute_factors(data, max_n))
 
 
 @st.composite

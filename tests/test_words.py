@@ -1,12 +1,15 @@
 import json
+import math
 import random
 import tracemalloc
 from dataclasses import dataclass
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rotewords import words
 from rotewords.words import MAX_ALPHABET, Record
 from rotewords import (AlphabetError, ParseError, Word, complement,
                        complexity_profile, dominates, factor_complexity,
@@ -210,10 +213,11 @@ def test_factor_complexity_small():
 
 def test_factor_complexity_past_the_word_builds_no_table():
     # n is past the word, so the answer is 0: a table of n + 1 rows
-    # would be 8 MB of list at n = 10**6
+    # would be 8 MB of list at n = 10**6, and padded windows 5 MB of bytes
     tracemalloc.start()
     try:
         assert factor_complexity(w2("0110"), 10**6) == 0
+        assert factors_of_length(w2("0110"), 10**6) == set()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -227,6 +231,42 @@ def test_factor_complexity_on_rote_prefix():
     # length-10 window count is cross-checked against the brute census.
     prefix = named("g").apply(named("f").iterate_prefix(0, 12000))[:20000]
     assert factor_complexity(prefix, 10) == brute_factor_count(prefix.letters, 10) == 20
+
+
+def _counting(data: bytes):
+    """``data`` as bytes that count every slice taken of them, or of a
+    slice or sum of them, in the returned one-item list."""
+    taken = [0]
+
+    class Counted(bytes):
+        def __getitem__(self, key):
+            taken[0] += 1
+            return Counted(bytes.__getitem__(self, key))
+
+        def __add__(self, other):
+            return Counted(bytes.__add__(self, other))
+
+    return Counted(data), taken
+
+
+@pytest.mark.parametrize("n", [5000, 40000])
+def test_complexity_profile_slices_grow_as_sqrt_of_n_times_max_n(n):
+    # the samples and cuts _windows takes: 2146 at 5000 letters (stride 5)
+    # and 6134 at 40000 (stride 14), 3.03 and 3.07 sqrt(n max_n); 4 leaves
+    # a 30% margin, and a stride of 1 takes n + 301 slices
+    w = named("g").apply(named("f").iterate_prefix(0, 24000))[:n]
+    calls = []
+
+    def spy(data, size):
+        counted, taken = _counting(data)
+        calls.append(taken)
+        return windows(counted, size)
+
+    windows = words._windows
+    with mock.patch.object(words, "_windows", spy):
+        assert complexity_profile(w, 100) == [1, *range(2, 201, 2)]
+    assert len(calls) == 1
+    assert calls[0][0] <= 4 * math.sqrt(n * 100)
 
 
 def test_involutions_and_parikh_invariance():
