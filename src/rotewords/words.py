@@ -239,7 +239,7 @@ def complexity_profile(w: Word, max_n: int) -> list[int]:
 
 def _stride(length: int, size: int) -> int:
     """The spacing t of ``_windows``' samples: on a word of complexity near
-    2n it takes about length / t samples and 2 size t cuts, least here."""
+    2n, length / t sample slices plus 2 size t cuts is least at this t."""
     return max(1, isqrt(length // (2 * size))) if size else 1
 
 

@@ -255,14 +255,13 @@ def test_complexity_profile_slices_grow_as_sqrt_of_n_times_max_n(n):
     # and 6134 at 40000 (stride 14), 3.03 and 3.07 sqrt(n max_n); 4 leaves
     # a 30% margin, and a stride of 1 takes n + 301 slices
     w = named("g").apply(named("f").iterate_prefix(0, 24000))[:n]
-    calls = []
+    windows, calls = words._windows, []
 
     def spy(data, size):
         counted, taken = _counting(data)
         calls.append(taken)
         return windows(counted, size)
 
-    windows = words._windows
     with mock.patch.object(words, "_windows", spy):
         assert complexity_profile(w, 100) == [1, *range(2, 201, 2)]
     assert len(calls) == 1
