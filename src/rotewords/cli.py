@@ -29,13 +29,13 @@ from fractions import Fraction
 from functools import cache, partial
 
 from .morphisms import NAMED_MORPHISMS, equal_on_letters, named
-from .properness import DEFAULT_LENGTH_GUARD
 from .repetitions import exponent, is_power_free
 from .search import longest_avoiding, run_reference_table
 from .structure import (CaseTag, _grammar, classify_by_length4, decode,
                         decompose, generate_case_word)
-from .words import (LengthLimitError, Record, Word, complement,
-                    complexity_profile, digit_alphabet, parse_word)
+from .words import (DEFAULT_LENGTH_GUARD, LengthLimitError, Record, Word,
+                    complement, complexity_profile, digit_alphabet,
+                    parse_word)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -144,12 +144,8 @@ class Outcome(Record):
     parameters: dict
     results: object
     lines: list[str]
-    status: str
-    records: Sequence[dict]
-
-    def __init__(self, parameters, results, lines, status="ok", records=()):
-        self.__dict__.update(parameters=parameters, results=results,
-                             lines=lines, status=status, records=records)
+    status: str = "ok"
+    records: Sequence[dict] = ()
 
 
 # ---------------------------------------------------------------- commands

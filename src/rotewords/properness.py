@@ -32,7 +32,8 @@ from bisect import bisect_left
 from itertools import accumulate
 
 from .repetitions import _runs
-from .words import AlphabetError, LengthLimitError, Record, Word
+from .words import (DEFAULT_LENGTH_GUARD, AlphabetError, LengthLimitError,
+                    Record, Word)
 
 FORBIDDEN_FACTORS = (
     bytes([0, 0]),
@@ -44,8 +45,6 @@ FORBIDDEN_FACTORS = (
     bytes([1, 0, 2, 1, 0, 2, 1, 0]),
 )
 
-DEFAULT_LENGTH_GUARD = 20000
-
 
 class XyxyxOccurrence(Record):
     """Factor u[start : start + 3*x_length + 2*y_length] of shape xyxyx."""
@@ -53,10 +52,6 @@ class XyxyxOccurrence(Record):
     start: int
     x_length: int
     y_length: int
-
-    def __init__(self, start, x_length, y_length):
-        self.__dict__.update(start=start, x_length=x_length,
-                             y_length=y_length)
 
     @property
     def total_length(self) -> int:
@@ -74,9 +69,6 @@ class Violation(Record):
     kind: str
     position: int
     detail: object
-
-    def __init__(self, kind, position, detail):
-        self.__dict__.update(kind=kind, position=position, detail=detail)
 
 
 class PropernessReport(Record):
@@ -96,10 +88,6 @@ class PropernessReport(Record):
     checked_length: int
     trim: int
     violation: Violation | None
-
-    def __init__(self, checked_length, trim, violation):
-        self.__dict__.update(checked_length=checked_length, trim=trim,
-                             violation=violation)
 
     @property
     def clean(self) -> bool:

@@ -90,9 +90,6 @@ class RepetitionWitness(Record):
     length: int
     period: int
 
-    def __init__(self, start, length, period):
-        self.__dict__.update(start=start, length=length, period=period)
-
 
 def smallest_period(w: Word) -> int:
     """Least p >= 1 with w[i] == w[i+p] for all valid i.

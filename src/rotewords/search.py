@@ -49,11 +49,6 @@ class SearchOutcome(Record):
     reached_target: bool
     nodes_explored: int
 
-    def __init__(self, max_length, witness, reached_target, nodes_explored):
-        self.__dict__.update(max_length=max_length, witness=witness,
-                             reached_target=reached_target,
-                             nodes_explored=nodes_explored)
-
 
 def _as_factor_bytes(forbidden: Iterable[Word | str]) -> tuple[bytes, ...]:
     if isinstance(forbidden, (str, Word)):
@@ -213,11 +208,6 @@ class TableRow(Record):
     witness: Word
     nodes: int
     match: bool
-
-    def __init__(self, forbidden, expected, computed, witness, nodes, match):
-        self.__dict__.update(forbidden=forbidden, expected=expected,
-                             computed=computed, witness=witness, nodes=nodes,
-                             match=match)
 
 
 def run_reference_table(rows: Sequence[tuple[Sequence[str], int]] | None = None,

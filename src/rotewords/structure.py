@@ -95,13 +95,9 @@ class FactorClass(Record):
     factors that do not fit the best-matching case.
     """
 
-    tag: CaseTag | None
-    compatible: tuple[CaseTag, ...]
-    offenders: tuple[Word, ...]
-
-    def __init__(self, tag=None, compatible=(), offenders=()):
-        self.__dict__.update(tag=tag, compatible=compatible,
-                             offenders=offenders)
+    tag: CaseTag | None = None
+    compatible: tuple[CaseTag, ...] = ()
+    offenders: tuple[Word, ...] = ()
 
     @property
     def is_definite(self) -> bool:
@@ -171,10 +167,6 @@ class DecodeResult(Record):
     preimage: Word
     dropped_prefix: int
     truncated_suffix: int
-
-    def __init__(self, preimage, dropped_prefix, truncated_suffix):
-        self.__dict__.update(preimage=preimage, dropped_prefix=dropped_prefix,
-                             truncated_suffix=truncated_suffix)
 
 
 @cache
@@ -250,18 +242,10 @@ class LevelRecord(Record):
     proper: PropernessReport
     antiproper: PropernessReport | None
 
-    def __init__(self, morphism, decode, tail_trim, proper, antiproper):
-        self.__dict__.update(morphism=morphism, decode=decode,
-                             tail_trim=tail_trim, proper=proper,
-                             antiproper=antiproper)
-
 
 class DecompositionCertificate(Record):
     factor_class: FactorClass
     levels: tuple[LevelRecord, ...]
-
-    def __init__(self, factor_class, levels):
-        self.__dict__.update(factor_class=factor_class, levels=levels)
 
     @property
     def depth_achieved(self) -> int:

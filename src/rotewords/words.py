@@ -6,7 +6,9 @@ equality, substring search, window hashing and the alphabet check all run
 at C speed: a Word deletes its alphabet's letters with ``bytes.translate``
 and finds the first bad one with ``bytes.lstrip`` only when some is left,
 as ``parse_word`` does once ASCII digits read as letters and all else 0xFF.
-Every function in this module is pure and safe to call concurrently.
+Every function in this module is pure and safe to call concurrently.  The
+first record of a class writes that class's ``__init__``; two threads that
+race there write the same function twice, which does no harm.
 
 Text I/O renders letters as ASCII digits with no separators ("0121"),
 one word per line, so an alphabet has at most 10 letters.
@@ -35,6 +37,8 @@ class LengthLimitError(RuntimeError):
     """An input word exceeded a configured length guard."""
 
 
+DEFAULT_LENGTH_GUARD = 20000
+
 MAX_ALPHABET = 10        # one ASCII digit per letter
 _TO_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _FROM_DIGITS = bytes(b - 48 if 48 <= b < 58 else 0xFF for b in range(256))
@@ -43,24 +47,38 @@ _FROM_DIGITS = bytes(b - 48 if 48 <= b < 58 else 0xFF for b in range(256))
 class Record:
     """An immutable value whose fields its class annotates, in order.
 
-    Each subclass's ``__init__`` stores exactly those fields, in that
-    order, with one ``self.__dict__.update``: a signature of its own binds
-    arguments faster than one generic ``__init__`` could.  A record equals
-    another of the same class with equal fields and hashes by its fields;
-    its repr is ``Cls(field=value, ...)``; setting or deleting an
-    attribute raises AttributeError; and ``to_json()`` is its fields in
-    order, with words as digit strings, tuples as lists and records as
-    their own JSON.
+    A class with no ``__init__`` of its own gets one at its first record:
+    it takes the fields in order, with the class-level values as their
+    defaults, and stores them with one ``self.__dict__.update``, so every
+    later record binds its arguments as a hand-written ``__init__`` would.
+    A record equals another of the same class with equal fields and hashes
+    by its fields; its repr is ``Cls(field=value, ...)``; setting or
+    deleting an attribute raises AttributeError; and ``to_json()`` is its
+    fields in order, with words as digit strings, tuples as lists and
+    records as their own JSON.
 
-    Field names are read once per class, and no method is written into a
-    subclass's namespace: a subclass keeps the methods that a class
-    decorator gives it, and still inherits ``to_json``.
+    Field names are read once per class, and a class keeps any
+    ``__init__`` it or a decorator gives it, and still inherits
+    ``to_json``.
     """
 
     _fields = ()        # the field names, in order
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        # reached only by the first record of a class with no __init__
+        cls = self.__class__
+        params = (f"{f}=_d[{f!r}]" if f in vars(cls) else f
+                  for f in cls._fields)
+        stores = (f"{f}={f}" for f in cls._fields)
+        scope = {"_d": vars(cls)}
+        exec(f"def __init__(self, {', '.join(params)}):\n"
+             f"    self.__dict__.update({', '.join(stores)})", scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init(self, *args, **kwargs)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
