@@ -272,9 +272,9 @@ def _cmd_decompose(args) -> Outcome:
 
 
 def _cmd_generate(args) -> Outcome:
-    w = generate_case_word(args.case, args.depth, args.length, limit=args.limit)
+    word = str(generate_case_word(args.case, args.depth, args.length, limit=args.limit))
     return Outcome({"case": args.case, "depth": args.depth,
-                    "length": args.length}, {"word": str(w)}, [str(w)])
+                    "length": args.length}, {"word": word}, [word])
 
 
 def _cmd_complexity(args) -> Outcome:

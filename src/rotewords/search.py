@@ -9,13 +9,14 @@ word of that length satisfying the predicate.
 
 Each node decides both of its children when it is pushed, and every step
 of the loop pushes one node: child 0 if it is live, else child 1 if it is,
-else the deepest child 1 still waiting on the path.  A pruned child is
-counted, not visited, so ``nodes_explored`` counts every child tried, 0
-before 1, as a node-by-node walk would.  Backing up pops the waiting
-states and then cuts the word, the runs and ``at1`` back in one stride.
+else the deepest child 1 still waiting beside the path.  A pruned child is
+counted when it is decided, not visited, but a pruned child 1 is tried
+only once the walk backs up past it, so those still beside the path at
+the target are taken off again: ``nodes_explored`` counts every child
+tried, 0 before 1, as a node-by-node walk would.  One stack holds each
+waiting child 1, so backing up is one pop and one shift of ``at1``.
 Forbidden factors are matched by an Aho-Corasick automaton over the
-factors (``_automaton``): the path keeps the state of each waiting child
-1, and a child whose letter ends a factor gets -1.
+factors (``_automaton``), in which a letter that ends a factor gets -1.
 The 5/2+ test is a few whole-int operations.  For each prefix on the
 current path, one int holds in lane p (``width`` bits at bit
 ``width * (p - 1)``) r_p + 1, where the trailing agreement run r_p is the
@@ -25,9 +26,9 @@ has exponent above 5/2 exactly when r_p >= p + p // 2 + 1, so adding
 every lane in which a letter equal to w[n - p] would make one; splitting
 the marks by the letter at w[n - p] prunes child 1, child 0 or both.
 Lanes exist only for the periods up to the deepest length reached, so a
-node costs time in the search's depth, not the target, and the runs kept
-for backtracking take about width * n**2 / 2 bits at depth n.
-``_lane_width`` makes every bound fit, so no lane ever overflows.
+node costs time in the search's depth, not the target, and the path keeps
+such an int, width * k bits, only for each waiting child 1 of a parent of
+length k.  ``_lane_width`` makes every bound fit, so no lane overflows.
 
 ``REFERENCE_ROWS`` freezes the expected maxima for the searches the
 verification command recomputes; ``run_reference_table`` reruns them all
@@ -38,9 +39,9 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Sequence
-from itertools import combinations
+from itertools import combinations, count
 
-from .words import AlphabetError, Record, Word, parse_word
+from .words import _FROM_DIGITS, AlphabetError, Record, Word, parse_word
 
 
 class SearchOutcome(Record):
@@ -66,8 +67,8 @@ def _as_factor_bytes(forbidden: Iterable[Word | str]) -> tuple[bytes, ...]:
     return tuple(out)
 
 
-def _automaton(factors: tuple[bytes, ...]) -> list[int]:
-    """Aho-Corasick over binary factors as a flat table: ``delta[2*s + c]``
+def _automaton(factors: tuple[bytes, ...]) -> tuple[list[int], list[int]]:
+    """Aho-Corasick over binary factors as one table per letter: ``delta_c[s]``
     is the state after reading c in state s, or -1 if a factor ends there.
     State 0 is the empty word; there are at most sum(len(f)) + 1 states."""
     delta, ends = [0, 0], [False]       # trie edges first, 0 where absent
@@ -91,7 +92,8 @@ def _automaton(factors: tuple[bytes, ...]) -> list[int]:
                 queue.append(t)
             else:
                 delta[2 * s + c] = back
-    return [-1 if ends[t] else t for t in delta]
+    delta = [-1 if ends[t] else t for t in delta]
+    return delta[0::2], delta[1::2]
 
 
 def _lane_width(target: int) -> int:
@@ -117,67 +119,65 @@ def longest_avoiding(forbidden: Iterable[Word | str], target: int = 200) -> Sear
                         f"{type(target).__name__}") from None
     if target < 0:
         raise ValueError("target must be non-negative")
-    delta = _automaton(_as_factor_bytes(forbidden))
+    delta0, delta1 = _automaton(_as_factor_bytes(forbidden))
+    if target == 0:
+        return SearchOutcome(0, Word(b"", 2), True, 1)
     width = _lane_width(target)
     top = 1 << (width - 1)
     lane = 2 * top - 1
     # 1, top - (p + p // 2 + 1) and top in each lane p <= deepest, the
     # longest length reached
     one = bias = high = deepest = 0
-    # lane p of at1 is all ones iff w[n - p] == 1, for the prefix w[:n]
-    at1 = 0
-    w = bytearray()
-    best = b""
+    # for the prefix w[:n] on the path, inc holds r_p + 1 in each lane
+    # p <= n and lane p of at1 is all ones iff w[n - p] == 1; best is at1
+    # at the first prefix of length deepest
+    n = inc = at1 = best = 0
     # s0, s1: the automaton state after w + 0 and w + 1, or -1 if that
-    # child is pruned.  For each prefix w[:k] on the path, incs[k] holds
-    # r_p + 1 in each lane p <= k, and for k < len(w) pending[k] is the
-    # state after w[:k] + 1 while that child waits: -1 if it is pruned, and
-    # -2 once it has been entered, so that backing up skips it uncounted
-    s0, s1 = delta[0], delta[1]
-    pending: list[int] = []
-    inc, incs = 0, [0]
-    nodes = 1                   # the empty word
-    while deepest < target:
+    # child is pruned.  For each waiting child 1 the stack holds its
+    # parent's n, its state, its parent's inc and beside at its parent:
+    # the pruned children 1 beside the path, counted but not yet tried
+    s0, s1 = delta0[0], delta1[0]
+    stack: list[tuple[int, int, int, int]] = []
+    pruned = beside = 0
+    for steps in count():               # each step pushes one node
         if s0 >= 0:
-            c, s = 0, s0
-            pending.append(s1)
+            if s1 >= 0:
+                stack.append((n, s1, inc, beside))
+            else:
+                pruned, beside = pruned + 1, beside + 1
+            s = s0
+            runs = inc & ~at1
+            at1 <<= width
         else:
-            nodes += 1          # child 0, pruned
-            s = s1
-            if s < 0:
-                nodes += 1      # child 1 too: back up to a child 1 waiting
-                while pending:
-                    s = pending.pop()
-                    if s >= 0:
-                        break
-                    nodes += s == -1    # a pruned child 1 counts as tried
-                else:
+            pruned += 1
+            if s1 < 0:                  # back up to the deepest child 1 waiting
+                pruned += 1
+                if not stack:
                     break
-                n = len(pending)
-                at1 >>= width * (len(w) - n)
-                del w[n:], incs[n + 1:]
-                inc = incs[n]
-            c = 1
-            pending.append(-2)
-        nodes += 1
-        runs = inc & at1 if c else inc ^ (inc & at1)
-        at1 = at1 << width | lane * c
-        w.append(c)
-        n = len(w)
+                k, s1, inc, beside = stack.pop()
+                n, at1 = k, at1 >> width * (n - k)
+            s = s1
+            runs = inc & at1
+            at1 = at1 << width | lane
+        n += 1
         if n > deepest:
-            best, deepest, shift = bytes(w), n, width * (n - 1)
-            if n == target:
+            best, deepest, shift = at1, n, width * (n - 1)
+            if n == target:             # this step pushed a node, and the
+                steps += 1              # children 1 still beside the path
+                pruned -= beside        # were never tried
                 break
             one |= 1 << shift
             bias |= (top - n - n // 2 - 1) << shift
             high |= top << shift
         inc = runs + (one >> width * (deepest - n))
-        incs.append(inc)
         over = (inc + bias) & high
         over1 = over & at1      # the lanes that prune child 1
-        s0 = -1 if over != over1 else delta[2 * s]
-        s1 = -1 if over1 else delta[2 * s + 1]
-    return SearchOutcome(len(best), Word(best, 2), deepest == target, nodes)
+        s0 = -1 if over != over1 else delta0[s]
+        s1 = -1 if over1 else delta1[s]
+    # after a leading 1, the top bit of each lane p is w[deepest - p]
+    bits = format(best | 1 << width * deepest, "b")[1::width]
+    return SearchOutcome(deepest, Word(bits.encode().translate(_FROM_DIGITS), 2),
+                         deepest == target, 1 + steps + pruned)
 
 
 def _reference_rows() -> tuple[tuple[tuple[str, ...], int], ...]:

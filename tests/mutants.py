@@ -71,6 +71,32 @@ MUTANTS = (
            'stores = (f"{f}={f}" for f in cls._fields)',
            'stores = (f"{f}={f}" for f in reversed(cls._fields))',
            ("tests/test_record_init.py",)),
+    # backing up one lane short: the runs of the child 1 are read against
+    # the letters of a prefix one longer than its parent
+    Mutant("search-backup-shift-one-short", "search.py",
+           "width * (n - k)",
+           "width * (n - k - 1)",
+           ("tests/test_search_lanes.py", "tests/test_search.py")),
+    # backing up keeps the pruned children 1 beside the abandoned path
+    Mutant("search-beside-not-restored", "search.py",
+           "k, s1, inc, beside = stack.pop()",
+           "k, s1, inc, _ = stack.pop()",
+           ("tests/test_search_lanes.py", "tests/test_search.py")),
+    # the pruned children 1 beside the final path counted as tried
+    Mutant("search-target-keeps-beside", "search.py",
+           "                pruned -= beside",
+           "                pass",
+           ("tests/test_search_lanes.py", "tests/test_search.py")),
+    # lanes one bit narrower than the largest bound needs
+    Mutant("search-lane-width-one-short", "search.py",
+           "return (target + target // 2).bit_length() + 1",
+           "return (target + target // 2).bit_length()",
+           ("tests/test_search_lanes.py", "tests/test_search.py")),
+    # every failure link sent to the root
+    Mutant("search-fail-link-to-root", "search.py",
+           "fail[t] = back",
+           "fail[t] = 0",
+           ("tests/test_search_lanes.py", "tests/test_search.py")),
 )
 
 

@@ -104,6 +104,8 @@ def test_node_counts_are_pinned():
     assert longest_avoiding(["1011", "1010"], 200).nodes_explored == 441
     assert (longest_avoiding(["0101", "1010", "10110010"], 200).nodes_explored
             == 10765)
+    # too deep for the brute-force loop
+    assert longest_avoiding(["000", "111"], 2000).nodes_explored == 3860
 
 
 # (computed, nodes) for each row of REFERENCE_ROWS, in order

@@ -32,6 +32,8 @@ factors = st.lists(st.text("01", min_size=1, max_size=9), max_size=3)
 @example(["0"], 5)                      # root child 0 pruned
 @example(["0"], 2)                      # the target reached on a child 1
 @example(["0110"], 1)
+@example(["11"], 10)                    # the target reached with children 1
+@example(["0110"], 10)                  # pruned or waiting beside the path
 @example(["00", "11"], 150)
 @settings(max_examples=300, deadline=None)
 @given(factors, st.integers(0, 150))
@@ -55,8 +57,8 @@ def test_cost_follows_depth_not_target():
 
 def test_path_memory_is_one_run_int_per_depth():
     # Thue-Morse avoids 000, 111 and every 5/2+ power, so the search
-    # reaches depth 2000 and holds about width * n**2 / 2 bits of runs
-    # (3.6-3.7 MB); a second int of that size per depth would double it
+    # reaches depth 2000 and holds one runs int per waiting child 1
+    # (1.4-1.5 MB); one per depth took 3.6 MB
     tracemalloc.start()
     try:
         outcome = longest_avoiding(["000", "111"], 2000)
@@ -64,7 +66,7 @@ def test_path_memory_is_one_run_int_per_depth():
     finally:
         tracemalloc.stop()
     assert outcome.reached_target
-    assert peak < 5 * 10**6
+    assert peak < 2.5 * 10**6
 
 
 def test_lane_width_fits_every_bound():
