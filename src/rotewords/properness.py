@@ -14,7 +14,9 @@ words whose factors all have exponent at most 5/2 produce no candidates at
 all and are dismissed in this first phase.  Only the surviving stretches are
 enumerated, in tie-break order.  At each start of a stretch, x dominates
 from some least length on, which a bisection of the prefix counts finds,
-and that least x is the only candidate there that can matter.
+and that least x is the only candidate there that can matter.  The search
+reads one bound, where the checked word ends, at each start; candidates are
+drawn in start order, so no start bound is needed.
 
 ``forgiving_scan`` is the one checker behind ``is_proper``,
 ``is_antiproper`` and the decomposition reports, and returns the
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, count
 
 from .repetitions import _runs
 from .words import (DEFAULT_LENGTH_GUARD, AlphabetError, LengthLimitError,
@@ -100,17 +102,20 @@ def _guard(u: Word, max_length: int | None) -> None:
             f"input of length {len(u)} exceeds the {max_length}-letter guard")
 
 
-def _xyxyx_search(data: bytes, k: int, window):
+def _xyxyx_search(data: bytes, k: int, end):
     """Every candidate (s, x, y) - a factor of shape xyxyx with x > y - whose
     x-piece strictly Parikh-dominates its y-piece, in tie-break order, but
     only the first in x order of each stretch and start, and only those
-    inside the window [lo, hi) that ``window()`` returns, read at each start.
+    ending by ``end()``, read at each start.
 
     The first dominated x at a start is the only one that can matter: one
-    ending past hi ends past every later window, and once that candidate
-    is reported or forgiven, every later x there ends later (3x + 2y =
-    2p + x) inside a forgiven start.  An empty tuple, with no prefix
-    counts built, when no run in ``data`` can host a candidate.
+    ending past ``end()`` ends past every later bound, and once that
+    candidate is reported or forgiven, every later x there ends later
+    (3x + 2y = 2p + x) inside a forgiven start.  No start bound is read:
+    the merge draws each stretch's first candidate before the caller
+    forgives any, and each next one only after the caller has handled the
+    last s, by when it has forgiven no start past s.  An empty tuple, with
+    no prefix counts built, when no run in ``data`` can host a candidate.
     """
     # Phase 1: per period p, the runs of length >= p + x_min, where
     # x_min = p//2 + 1 is the least x with x > y.
@@ -128,18 +133,15 @@ def _xyxyx_search(data: bytes, k: int, window):
         prefix.append(list(accumulate(marks, initial=0)))
 
     def candidates(p: int, a: int, b: int):
-        x_min, s = p // 2 + 1, a
-        while True:
-            lo, hi = window()
-            s = max(s, lo)
-            top = min(p, b - s - p, hi - s - 2 * p)     # the largest x
+        x_min = p // 2 + 1
+        for s in count(a):
+            top = min(p, b - s - p, end() - s - 2 * p)     # the largest x
             if top < x_min:     # and smaller at every later start
                 return
             x = max(bisect_left(row, (row[s] + row[s + p] + 1) // 2,
                                 s + x_min, s + top + 1) for row in prefix) - s
             if x <= top:
                 yield s, x, p - x
-            s += 1
 
     return heapq.merge(*(candidates(*st) for st in stretches))
 
@@ -153,8 +155,7 @@ def find_dominated_xyxyx(u: Word, *,
     y length.  y may be empty; x may not.
     """
     _guard(u, max_length)
-    for s, x, y in _xyxyx_search(u.letters, u.alphabet_size,
-                                 lambda: (0, len(u))):
+    for s, x, y in _xyxyx_search(u.letters, u.alphabet_size, u.__len__):
         return XyxyxOccurrence(s, x, y)
     return None
 
@@ -199,12 +200,10 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
             else:
                 heapq.heapreplace(heap, (pos, length, pat))
         offset = 0 if mirrored else trim   # the searched slice's start in data
-
-        def window():   # what the current trim leaves, in the searched slice
-            return (0, n - trim) if mirrored else (trim - offset, n - offset)
-
+        # the slices only skip work; this is where the trim's segment ends
         for s, x, y in _xyxyx_search(
-                data[:n - trim] if mirrored else data[trim:], 3, window):
+                data[:n - trim] if mirrored else data[trim:], 3,
+                lambda: n - (trim if mirrored else offset)):
             yield offset + s, 3 * x + 2 * y, (x, y)
 
     for pos, length, xy in violations():

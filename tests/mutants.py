@@ -71,6 +71,40 @@ MUTANTS = (
            'stores = (f"{f}={f}" for f in cls._fields)',
            'stores = (f"{f}={f}" for f in reversed(cls._fields))',
            ("tests/test_record_init.py",)),
+    # a record that lets a field be deleted
+    Mutant("record-delattr-removed", "words.py",
+           "    def __delattr__(self, name):\n"
+           '        raise AttributeError(f"{self.__class__.__qualname__} '
+           'is immutable")\n',
+           "",
+           ("tests/test_records.py",)),
+    # the dominance bisection's key rounded down: where a letter's count
+    # over the period is odd, an x one such letter short counts as dominant
+    Mutant("xyxyx-bisect-key-rounded-down", "properness.py",
+           "(row[s] + row[s + p] + 1) // 2",
+           "(row[s] + row[s + p]) // 2",
+           ("tests/test_properness.py",)),
+    # the largest x one past the stretch's end
+    Mutant("xyxyx-top-past-stretch", "properness.py",
+           "b - s - p",
+           "b - s - p + 1",
+           ("tests/test_properness.py",)),
+    # the end bound read once from the whole slice, not from the trim at
+    # each start: the search draws every candidate of the forgiven front
+    Mutant("xyxyx-end-not-lazy", "properness.py",
+           "end() - s - 2 * p)",
+           "len(data) - s - 2 * p)",
+           ("tests/test_structure.py", "-k", "lazily")),
+    # a mirrored violation mapped one letter to the right
+    Mutant("scan-mirrored-map-one-right", "properness.py",
+           "n - pos - length",
+           "n - pos - length + 1",
+           ("tests/test_structure.py", "tests/test_properness.py")),
+    # a violation starting at the trim skipped as if forgiven
+    Mutant("scan-forgives-at-trim", "properness.py",
+           "if start < trim:",
+           "if start <= trim:",
+           ("tests/test_differential.py", "-k", "report_matches_rerun_loop")),
     # backing up one lane short: the runs of the child 1 are read against
     # the letters of a prefix one longer than its parent
     Mutant("search-backup-shift-one-short", "search.py",

@@ -151,6 +151,8 @@ def test_immutable(name):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
         record.extra = None
+    with pytest.raises(AttributeError):
+        delattr(record, field)
     assert getattr(record, field) is before
 
 

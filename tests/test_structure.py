@@ -324,12 +324,13 @@ def test_report_builds_phase_one_once(front, chain, seed, mirrored, trim):
     assert len(scans) == 1
 
 
-@pytest.mark.parametrize("front, chain, seed, mirrored, trim, most", [
-    (bytes([0, 1, 2, 1]) * 20, "f", 0, False, 64, 309),
-    (bytes([1, 2, 1, 0]) * 15, "h", 1, True, 52, 6),
-], ids=["proper", "antiproper"])
+@pytest.mark.parametrize(
+    "front, chain, seed, mirrored, trim, most, bisections", [
+        (bytes([0, 1, 2, 1]) * 20, "f", 0, False, 64, 309, 930),
+        (bytes([1, 2, 1, 0]) * 15, "h", 1, True, 52, 6, 18),
+    ], ids=["proper", "antiproper"])
 def test_report_draws_xyxyx_candidates_lazily(front, chain, seed, mirrored,
-                                              trim, most):
+                                              trim, most, bisections):
     # the search reads the trim at each start and stops where the report
     # does: a stream that listed its candidates first, or read the window
     # once, would draw every candidate of the forgiven front
@@ -342,10 +343,14 @@ def test_report_draws_xyxyx_candidates_lazily(front, chain, seed, mirrored,
             drawn.append(candidate)
             yield candidate
 
-    with mock.patch.object(properness, "_xyxyx_search", counting):
+    # and the work: one bisection per letter at each start read
+    bisect = mock.Mock(wraps=properness.bisect_left)
+    with mock.patch.object(properness, "_xyxyx_search", counting), \
+            mock.patch.object(properness, "bisect_left", bisect):
         report = forgiving_scan(level, 64, mirrored=mirrored)
     assert report.trim == trim
     assert len(drawn) <= most
+    assert bisect.call_count <= bisections
 
 
 def test_certificate_json_shape():
