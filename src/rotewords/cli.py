@@ -20,13 +20,13 @@ never into comparison results, so stdout is reproducible byte for byte.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, partial
+from types import SimpleNamespace
 
 from .morphisms import NAMED_MORPHISMS, equal_on_letters, named
 from .repetitions import exponent, is_power_free
@@ -323,86 +323,114 @@ def _cmd_check_power(args) -> Outcome:
                     "strict": args.strict}, {"witness": witness}, [line])
 
 
-# ------------------------------------------------------------------ parser
+# ----------------------------------------------------------------- options
+
+# Each command's options by option string: (type, default, help).  The type
+# is bool for a flag, int or str for a value, or the tuple of values
+# allowed; a default of ... marks a required option.  An option's dest is
+# its option string without the dashes, with "_" for "-".
+_COMMON = {"--json": (bool, False, "emit machine-readable JSON"),
+           "--limit": (int, DEFAULT_LENGTH_GUARD,
+                       "length guard in letters, also on generate")}
+_SOURCE = {**_COMMON, "--input": (str, ..., None)}
+
+# command: (function, help, options)
+_COMMANDS = {
+    "verify-paper": (_cmd_verify_paper, "recompute the reference search "
+                     "table and identity checks", {
+        **_COMMON, "--target": (int, 200, None),
+        "--expected-table": (str, None, "JSON file overriding the expected "
+                                        "rows (testing aid)")}),
+    "search": (_cmd_search, "longest binary word avoiding 5/2+ powers and "
+               "the given factors", {
+        **_COMMON, "--forbidden": (str, ..., "comma-separated binary factors"),
+        "--target": (int, 200, None)}),
+    "classify": (_cmd_classify,
+                 "length-4 factor classification of a binary word", _SOURCE),
+    "decode": (_cmd_decode, "invert one application of a morphism whose "
+               "images carry a marker letter (g, f, h, tau)", {
+        **_SOURCE, "--morphism": (NAMED_MORPHISMS, ..., None)}),
+    "decompose": (_cmd_decompose,
+                  "iterated decoding with properness certificates", {
+        **_SOURCE, "--depth": (int, ..., None),
+        "--min-level-length": (int, 10, None),
+        "--seed-trim": (int, 64, "front-trim bound for properness reports")}),
+    "generate": (_cmd_generate,
+                 "construct a word of one of the four classes", {
+        **_COMMON, "--case": (tuple(t.value for t in CaseTag), ..., None),
+        "--depth": (int, ..., None), "--length": (int, ..., None)}),
+    "complexity": (_cmd_complexity, "factor complexity table of a word", {
+        **_SOURCE, "--max-n": (int, ..., None),
+        "--expect": (("2n", "2n+1"), None, None),
+        "--safety": (int, 100, "required input length as a multiple of "
+                               "max-n")}),
+    "check-power": (_cmd_check_power,
+                    "scan all factors against an exponent threshold", {
+        **_SOURCE, "--threshold": (str, ..., "rational threshold such as 5/2"),
+        "--strict": (bool, False,
+                     "flag only exponents strictly above the threshold")}),
+}
+
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit machine-readable JSON")
-    common.add_argument("--limit", type=int, default=DEFAULT_LENGTH_GUARD,
-                        help="length guard in letters, also on generate")
-    source = argparse.ArgumentParser(add_help=False, parents=[common])
-    source.add_argument("--input", required=True)
-
+def _build_parser():
+    """The argparse parser of the option table, for help and errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="rotewords",
         description="Power avoidance, morphisms, and structure of "
                     "low-complexity words")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-paper", parents=[common],
-                       help="recompute the reference search table and "
-                            "identity checks")
-    p.add_argument("--target", type=int, default=200)
-    p.add_argument("--expected-table", default=None,
-                   help="JSON file overriding the expected rows (testing aid)")
-    p.set_defaults(func=_cmd_verify_paper)
-
-    p = sub.add_parser("search", parents=[common],
-                       help="longest binary word avoiding 5/2+ powers and "
-                            "the given factors")
-    p.add_argument("--forbidden", required=True,
-                   help="comma-separated binary factors")
-    p.add_argument("--target", type=int, default=200)
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("classify", parents=[source],
-                       help="length-4 factor classification of a binary word")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("decode", parents=[source],
-                       help="invert one application of a morphism whose "
-                            "images carry a marker letter (g, f, h, tau)")
-    p.add_argument("--morphism", choices=NAMED_MORPHISMS, required=True)
-    p.set_defaults(func=_cmd_decode)
-
-    p = sub.add_parser("decompose", parents=[source],
-                       help="iterated decoding with properness certificates")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--min-level-length", type=int, default=10,
-                   dest="min_level_length")
-    p.add_argument("--seed-trim", type=int, default=64, dest="seed_trim",
-                   help="front-trim bound for properness reports")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("generate", parents=[common],
-                       help="construct a word of one of the four classes")
-    p.add_argument("--case", choices=[t.value for t in CaseTag], required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--length", type=int, required=True)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("complexity", parents=[source],
-                       help="factor complexity table of a word")
-    p.add_argument("--max-n", type=int, required=True, dest="max_n")
-    p.add_argument("--expect", choices=["2n", "2n+1"], default=None)
-    p.add_argument("--safety", type=int, default=100,
-                   help="required input length as a multiple of max-n")
-    p.set_defaults(func=_cmd_complexity)
-
-    p = sub.add_parser("check-power", parents=[source],
-                       help="scan all factors against an exponent threshold")
-    p.add_argument("--threshold", required=True,
-                   help="rational threshold such as 5/2")
-    p.add_argument("--strict", action="store_true",
-                   help="flag only exponents strictly above the threshold")
-    p.set_defaults(func=_cmd_check_power)
+    for name, (func, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, (kind, default, text) in options.items():
+            p.add_argument(flag, default=default, required=default is ...,
+                           help=text, **(
+                               {"action": "store_true"} if kind is bool else
+                               {"choices": kind} if isinstance(kind, tuple)
+                               else {"type": kind}))
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_args(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of ``argv``, or None to leave it to
+    argparse.  Read here: a command name, exact option strings of it, and
+    values that do not start with "-", convert by their option's type and
+    lie in its choices, with every required option given."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for flag in tokens:
+        if flag not in options:
+            return None
+        kind = options[flag][0]
+        if kind is bool:
+            given[flag] = True
+            continue
+        value = next(tokens, "-")       # a missing value is refused as "-"
+        if value.startswith("-"):
+            return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        given[flag] = value
+    values = {flag[2:].replace("-", "_"): given.get(flag, default)
+              for flag, (_, default, _) in options.items()}
+    if ... in values.values():          # a required option is missing
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_args(argv) or _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         for name in ("limit", "seed_trim", "min_level_length", "safety"):

@@ -131,6 +131,30 @@ MUTANTS = (
            "fail[t] = back",
            "fail[t] = 0",
            ("tests/test_search_lanes.py", "tests/test_search.py")),
+    # the command-line reader taking a value outside an option's choices
+    Mutant("reader-no-choices-check", "cli.py",
+           "            if value not in kind:\n"
+           "                return None\n",
+           "            pass\n",
+           ("tests/test_cli_reader.py", "-k", "matches_argparse")),
+    # the command-line reader taking a command line without a required
+    # option, which then reads as ...
+    Mutant("reader-no-required-check", "cli.py",
+           "    if ... in values.values():",
+           "    if False:",
+           ("tests/test_cli_reader.py", "-k", "matches_argparse")),
+    # the command-line reader taking a value that starts with "-", such as
+    # another option string
+    Mutant("reader-dash-value-accepted", "cli.py",
+           'if value.startswith("-"):',
+           "if False:",
+           ("tests/test_cli_reader.py", "-k", "matches_argparse")),
+    # the command-line reader leaving a flag that is not given None, not
+    # its default False
+    Mutant("reader-flag-default-not-filled", "cli.py",
+           "given.get(flag, default)",
+           "given.get(flag, default or None)",
+           ("tests/test_cli_reader.py", "-k", "matches_argparse")),
 )
 
 

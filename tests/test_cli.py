@@ -208,7 +208,6 @@ def test_file_line_over_the_limit_is_refused_before_it_is_read(tmp_path,
                                                                capsys):
     path = tmp_path / "big.txt"
     path.write_text("0" * 10**6 + "\n")
-    _build_parser()         # built once per process, so not counted below
     tracemalloc.start()
     try:
         code = main(["check-power", "--input", f"file:{path}",
@@ -775,8 +774,22 @@ def test_import_loads_no_dataclasses_typing_or_inspect():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import rotewords.cli; "
-            "print(sorted({'dataclasses', 'typing', 'inspect'} "
+            "print(sorted({'dataclasses', 'typing', 'inspect', 'argparse'} "
             "& set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_well_formed_command_line_loads_no_argparse():
+    # argparse is imported only for help and for command lines in error
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from rotewords.cli import main; "
+            "main(['check-power', '--input', 'literal:0110', '--threshold', "
+            "'5/2', '--strict', '--limit', '10']); "
+            "print('argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (
+        0, "ok: no factor violates the 5/2+ bound\nFalse\n")
