@@ -19,8 +19,8 @@ a whole octave of periods [P, 2P) at once with L = need(P): it looks for
 each sample w[i:i+s] with one ``bytes.find`` over w[i+P:i+2P-1+s], and each
 hit j names a period j - i, so a sample costs one find per hit, not one
 compare per period.  As s >= q, hits in a row lie in one run: the scan
-walks them, then reads both ends off one mismatch mask over the failed
-samples on either side (XOR of the shifted byte strings as big ints), in
+walks them, then reads both ends off the packed word (below) XORed with
+itself shifted by the period, over the failed samples on either side, in
 period order and only once the run is asked for.  With about 2n/L samples
 per octave and log n octaves this is near n log n unless runs abound.
 One need per octave is exact because every caller's need never falls as p
@@ -166,7 +166,8 @@ def _holds_run(packed: tuple[int, int, int], p: int, k: int) -> bool:
     return z != 0 or k == 0
 
 
-def _band_runs(data: bytes, low: int, top: int, min_len: int):
+def _band_runs(data: bytes, packed: tuple[int, int, int], low: int,
+               top: int, min_len: int):
     """Yield (p, a, b), sorted, for each maximal run [a, b) of period p
     with low <= p < top, b - a >= min_len and data[i] == data[i+p] on it.
 
@@ -175,10 +176,11 @@ def _band_runs(data: bytes, low: int, top: int, min_len: int):
     each hit j names the period j - i.  A hit whose period's last walk
     already passed i is skipped; any other walks on by q while the samples
     still agree at that period.  The run's ends fall in the failed samples
-    on either side, so one mask over them reads both, once the walks are
-    sorted and a run is asked for.
+    on either side, read off ``packed`` once the walks are sorted and a run
+    is asked for: cut to positions [lo, hi + p), lane j of d is nonzero,
+    that is, holds a set bit, iff position hi - 1 - j disagrees.
     """
-    n = len(data)
+    n, (x, w, _) = len(data), packed
     q = (min_len + 1) // 2
     s = min_len - q + 1
     reach, walks = {}, []
@@ -196,10 +198,13 @@ def _band_runs(data: bytes, low: int, top: int, min_len: int):
             j = data.find(window, j + 1, end)
     walks.sort()
     for p, i, k in walks:
-        lo = max(i - q, 0)
-        mask = _mismatch_mask(data[lo:k + s + p], p)    # may end at n - p
-        a = lo + len(mask[:i - lo].rstrip(b"\x00"))
-        b = lo + len(mask) - len(mask[k - q - lo:].lstrip(b"\x00"))
+        lo, hi = max(i - q, 0), min(k + s, n - p)
+        y = (x >> w * (n - hi - p)) & ((1 << w * (hi + p - lo)) - 1)
+        d = (y ^ (y >> w * p)) & ((1 << w * (hi - lo)) - 1)
+        left = d >> w * (hi - i)
+        a = i - ((left & -left).bit_length() - 1) // w if left else lo
+        right = d & ((1 << w * (hi - k + q)) - 1)
+        b = hi - 1 - (right.bit_length() - 1) // w if right else hi
         if b - a >= min_len:
             yield p, a, b
 
@@ -218,7 +223,7 @@ def _runs(data: bytes, need):
         top = p + 1
         if (k + 1) // 2 >= _BAND_STRIDE:
             top = min(2 * p, len(data) - k + 1)
-            for run in _band_runs(data, p, top, k):
+            for run in _band_runs(data, packed, p, top, k):
                 if run[0] != p:
                     p, k = run[0], need(run[0])
                     if p + k > len(data):

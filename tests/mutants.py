@@ -36,9 +36,20 @@ MUTANTS = (
     # a band run's end one short: check-power --threshold 2 --strict on
     # mu^10(00)0 loses its witness at period 1024
     Mutant("band-run-end-one-short", "repetitions.py",
-           r'b = lo + len(mask) - len(mask[k - q - lo:].lstrip(b"\x00"))',
-           r'b = lo + len(mask) - len(mask[k - q - lo:].lstrip(b"\x00")) - 1',
+           "b = hi - 1 - (right.bit_length() - 1) // w if right else hi\n",
+           "b = hi - 2 - (right.bit_length() - 1) // w if right else hi - 1\n",
            ("tests/test_same_answers.py",)),
+    # a band run's start one letter late
+    Mutant("band-run-start-one-late", "repetitions.py",
+           "a = i - ((left & -left).bit_length() - 1) // w",
+           "a = i + 1 - ((left & -left).bit_length() - 1) // w",
+           ("tests/test_differential.py", "-k", "band_runs_match")),
+    # a walk's reach one sample short: its last agreeing sample is walked
+    # again, and its run read twice
+    Mutant("band-reach-one-sample-short", "repetitions.py",
+           "reach[p] = k\n",
+           "reach[p] = k - q\n",
+           ("tests/test_differential.py", "-k", "band_runs_match")),
     # the report's trim at the forgiven violation's start, not one past it
     Mutant("report-trim-at-start", "properness.py",
            "        trim = start + 1\n",

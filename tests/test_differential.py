@@ -108,21 +108,21 @@ def test_agreement_runs_match_brute_force(case):
         runs = itertools.takewhile(lambda r: r[0] <= p,
                                    _runs(data, lambda _: min_len))
         assert [(a, b) for q, a, b in runs if q == p] == expected
-    assert list(_band_runs(data, p, p + 1, min_len)) == [
+    assert list(_band_runs(data, _packed(data), p, p + 1, min_len)) == [
         (p, a, b) for a, b in expected]
 
 
-def test_agreement_runs_read_each_run_off_one_mask():
+def test_band_runs_build_no_mask():
     # the band's extension walks the 40 periods' samples, then reads both
-    # ends of the run off one mask
+    # ends of the run off the packed word, building no mask
     data = stretch_in_filler(100, 40, 1000, 3)
     with mock.patch.object(repetitions, "_mismatch_mask",
                            wraps=repetitions._mismatch_mask) as mask:
-        runs = list(_band_runs(data, 100, 200, 150))
+        runs = list(_band_runs(data, _packed(data), 100, 200, 150))
     assert runs == [(p, a, b) for p in range(100, 200)
                     for a, b in brute_agreement_runs(data, p, 150)]
     assert len(runs) == 1 and runs[0][2] - runs[0][1] >= 3900
-    assert mask.call_count == 1
+    assert mask.call_count == 0
 
 
 @st.composite
@@ -220,9 +220,14 @@ def band_case(draw):
 @example((b"\0\1" * 150, 20, 40, 31))               # every even period
 @example((b"\0\1\2" * 40 + b"\1" + b"\0\1\2" * 40, 30, 60, 45))
 @example((stretch_in_filler(7, 30, 50, 4), 14, 28, 16))
+# ends read off 4-bit lanes (5 to 10 letters): a run inside the word, one
+# starting at position 0 and one ending at n - p
+@example((b"\7\2\5" + bytes(range(10)) * 12 + b"\3\3", 10, 20, 30))
+@example((b"\0\3\1\4\2" * 9 + b"\1\1", 5, 10, 20))
+@example((b"\4\4" + b"\0\3\1\6\5\2\1" * 9, 7, 14, 20))
 def test_band_runs_match_brute_force(case):
     data, low, top, min_len = case
-    assert list(_band_runs(data, low, top, min_len)) == [
+    assert list(_band_runs(data, _packed(data), low, top, min_len)) == [
         (p, a, b) for p in range(low, top)
         for a, b in brute_agreement_runs(data, p, min_len)]
 
