@@ -160,8 +160,8 @@ def find_dominated_xyxyx(u: Word, *,
     return None
 
 
-def forgiving_scan(u: Word, trim_bound: int = 0, *,
-                   mirrored: bool = False) -> PropernessReport:
+def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
+                   xyxyx: bool = True) -> PropernessReport:
     """Check a final segment of u, forgiving violations near the front.
 
     Returns ``PropernessReport(len(u) - trim, trim, violation)``, with no
@@ -180,6 +180,12 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
     search on what the trim leaves, re-read at each start.  The loop maps
     them into u in one expression; one rule skips a start before the
     trim, reports one at or past the bound and forgives any other.
+
+    With ``xyxyx`` False the stream stops after the forbidden factors: the
+    same report when u holds no dominated xyxyx, as ``decompose`` knows
+    below a level holding none.  A non-erasing m maps one in v to
+    m(x)m(y)m(x)m(y)m(x) in m(v), whose gap M(P(x) - P(y)) >= 0 is nonzero
+    as no column of m's count matrix M is zero; reversal keeps both.
     """
     if u.alphabet_size != 3:
         raise AlphabetError("properness is defined for ternary words")
@@ -199,6 +205,8 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *,
                 heapq.heappop(heap)
             else:
                 heapq.heapreplace(heap, (pos, length, pat))
+        if not xyxyx:
+            return
         offset = 0 if mirrored else trim   # the searched slice's start in data
         # the slices only skip work; this is where the trim's segment ends
         for s, x, y in _xyxyx_search(

@@ -49,7 +49,8 @@ so it is not trustworthy evidence.  Each report is the one that
 start before the front-trim bound are forgiven, the recorded trim is one
 past the start of the last of them, and the first violation at or after
 the bound is reported.  The scan walks the forbidden-factor occurrences
-once and runs the xyxyx search once, however many violations it forgives.
+once and runs the xyxyx search once, however many violations it forgives,
+and not at all below a level whose report met no violation anywhere.
 """
 
 from __future__ import annotations
@@ -278,6 +279,13 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
     ternary level gets a properness report (h-chain levels additionally an
     antiproperness report).  Levels stop early, with depth_achieved below
     the request, once a preimage falls under ``min_level_length`` letters.
+
+    Once a report meets no violation at all (clean, trim 0), the reports
+    after it skip the xyxyx search: neither its level nor a deeper one
+    holds a dominated xyxyx, as m of each level word is a factor of the
+    level above, and a non-erasing m maps one to m(x)m(y)m(x)m(y)m(x),
+    whose Parikh gap M(P(x) - P(y)) >= 0 is nonzero as no column of m's
+    count matrix M is zero; a word and its reverse hold the same ones.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
@@ -288,6 +296,8 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
             f"cannot decompose: length-4 factor classification is {kind}", cls)
     chain = "h" if cls.tag in _REVERSED else "f"
     current = complement(w) if cls.tag in _BARRED else w
+    prefixes = {name: _grammar(named(name))[-1] for name in ("g", chain)}
+    search = True       # until a level is seen to hold no dominated xyxyx
     levels: list[LevelRecord] = []
     for level in range(depth + 1):
         if level and len(current) < min_level_length:
@@ -300,13 +310,17 @@ def decompose(w: Word, depth: int, *, min_level_length: int = 10,
             raise DecompositionError(
                 f"{name}-decode failed at level {level}: {exc}",
                 DecompositionCertificate(cls, tuple(levels))) from exc
-        pre, prefixes = result.preimage, _grammar(m)[-1]
+        pre = result.preimage
         trim = int(not result.truncated_suffix and len(pre) > 0
-                   and m.images[pre[-1]].letters in prefixes)
+                   and m.images[pre[-1]].letters in prefixes[name])
         current = pre[:len(pre) - trim]
-        proper = forgiving_scan(current, front_trim_bound)
-        anti = (forgiving_scan(current, front_trim_bound, mirrored=True)
-                if chain == "h" else None)
+        proper = forgiving_scan(current, front_trim_bound, xyxyx=search)
+        search = search and not (proper.clean and proper.trim == 0)
+        anti = None
+        if chain == "h":
+            anti = forgiving_scan(current, front_trim_bound, mirrored=True,
+                                  xyxyx=search)
+            search = search and not (anti.clean and anti.trim == 0)
         levels.append(LevelRecord(name, result, trim, proper, anti))
     return DecompositionCertificate(cls, tuple(levels))
 

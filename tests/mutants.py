@@ -60,6 +60,23 @@ MUTANTS = (
            "if dropped > max(map(len, codes)) - 1:",
            "if dropped > max(map(len, codes)) - 2:",
            ("tests/test_same_answers.py",)),
+    # the xyxyx search skipped after a proper report that is clean only
+    # after forgiving its front, where the next level can hold an xyxyx
+    Mutant("skip-after-forgiven-front", "structure.py",
+           "search = search and not (proper.clean and proper.trim == 0)",
+           "search = search and not proper.clean",
+           ("tests/test_same_answers.py",)),
+    # the xyxyx search skipped after an antiproper report that names a
+    # violation and forgives none
+    Mutant("skip-after-violation", "structure.py",
+           "search = search and not (anti.clean and anti.trim == 0)",
+           "search = search and anti.trim > 0",
+           ("tests/test_same_answers.py",)),
+    # the xyxyx search skipped from level 0 on, before any report
+    Mutant("skip-from-level-zero", "structure.py",
+           "    search = True ",
+           "    search = False ",
+           ("tests/test_structure.py",)),
     # the short-period ladder's last shift skipped one step early
     Mutant("ladder-last-shift-early", "repetitions.py",
            "if z and span < k:",

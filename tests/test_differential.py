@@ -22,12 +22,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotewords import (FORBIDDEN_FACTORS, CaseTag, DecodeError,
-                       RepetitionWitness, Word, classify_by_length4,
-                       complexity_profile, decode, factors_of_length,
-                       find_dominated_xyxyx, forgiving_scan,
-                       generate_case_word, is_power_free, max_factor_exponent,
-                       named, smallest_period)
+from rotewords import (FORBIDDEN_FACTORS, CaseTag, ClassificationError,
+                       DecodeError, DecompositionError, RepetitionWitness,
+                       Word, classify_by_length4, complement,
+                       complexity_profile, decode, decompose,
+                       factors_of_length, find_dominated_xyxyx,
+                       forgiving_scan, generate_case_word, is_power_free,
+                       max_factor_exponent, named, smallest_period)
 from rotewords import repetitions, words
 from rotewords.repetitions import (_BAND_STRIDE, _band_runs, _holds_run,
                                    _packed, _runs)
@@ -552,6 +553,71 @@ def test_report_matches_rerun_loop(data, bound, mirrored, cut):
         report = forgiving_scan(Word(data, 3), bound, mirrored=mirrored)
     assert report_tuple(report) == brute_report(data, bound, mirrored)
     assert report.checked_length == len(data) - report.trim
+
+
+@st.composite
+def planted_xyxyx(draw):
+    """A ternary word of up to 14 letters, half the time holding a planted
+    xyxyx whose y is a proper part of a permutation of x, so x dominates."""
+    v = draw(letters(3, 0, 6))
+    if draw(st.booleans()):
+        x = draw(letters(3, 1, 3))
+        y = bytes(draw(st.permutations(x))[:draw(st.integers(0, len(x) - 1))])
+        at = draw(st.integers(0, len(v)))
+        v = v[:at] + x + y + x + y + x + v[at:]
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_xyxyx())
+def test_morphic_images_keep_dominated_xyxyx(v):
+    # what lets decompose skip the search below a level holding no
+    # dominated xyxyx: a non-erasing morphism maps one to one, and a word
+    # and its reverse hold one or none alike
+    found = brute_dominated_xyxyx(v) is not None
+    assert (brute_dominated_xyxyx(v[::-1]) is not None) == found
+    for name in ("f", "h", "theta", "sigma", "sigma_inv"):
+        image = brute_apply(named(name), v)
+        assert found <= (brute_dominated_xyxyx(image) is not None)
+
+
+@st.composite
+def peeled_word(draw):
+    """g(m^j(v)), m = f or h and j up to 2, cut to 160 letters and
+    complemented half the time, where v is a planted word followed by a
+    stretch of m's fixed point, so that the word's class is often definite
+    and its planted xyxyx reaches every level down to j."""
+    chain = draw(st.sampled_from("fh"))
+    point = F_POINT if chain == "f" else H_POINT
+    start = draw(st.integers(0, 300))
+    u = Word(draw(planted_xyxyx())
+             + point[start:start + draw(st.integers(4, 20))], 3)
+    for _ in range(draw(st.integers(0, 2))):
+        u = named(chain).apply(u)
+    w = named("g").apply(u)[:160]
+    return complement(w) if draw(st.booleans()) else w
+
+
+@settings(max_examples=150, deadline=None)
+@given(peeled_word(), st.sampled_from([0, 3, 64]))
+def test_decompose_levels_match_brute_force(w, bound):
+    # every report, also those below a level clean from its first letter,
+    # whose xyxyx search is skipped, is the re-run loop's on its level word
+    try:
+        levels = decompose(w, 4, min_level_length=0,
+                           front_trim_bound=bound).levels
+    except DecompositionError as exc:
+        levels = exc.partial.levels
+    except ClassificationError:
+        return
+    for level in levels:
+        pre = level.decode.preimage.letters
+        data = pre[:len(pre) - level.tail_trim]
+        for report, mirrored in ((level.proper, False),
+                                 (level.antiproper, True)):
+            if report is not None:
+                assert report_tuple(report) == brute_report(data, bound,
+                                                            mirrored)
 
 
 MARKER_MORPHISMS = ["g", "f", "h", "tau"]

@@ -324,6 +324,43 @@ def test_report_builds_phase_one_once(front, chain, seed, mirrored, trim):
     assert len(scans) == 1
 
 
+def phase_one_scans(w, depth):
+    """The certificate of decompose(w, depth) and the length of each word
+    the xyxyx phase 1 scanned on the way."""
+    scans = []
+
+    def counting(data, need):
+        scans.append(len(data))
+        return _runs(data, need)
+
+    with mock.patch.object(properness, "_runs", counting):
+        return decompose(w, depth), scans
+
+
+@pytest.mark.parametrize("tag", list(CaseTag))
+def test_decompose_searches_once_above_a_clean_level(tag):
+    # level 0's first searched report is clean from its first letter, so
+    # no deeper level holds a dominated xyxyx and none is searched (5 or
+    # 7 searches when every report ran its own)
+    cert, scans = phase_one_scans(generate_case_word(tag, 4, 2637)[137:], 4)
+    assert cert.depth_achieved == 4
+    assert scans == [len(cert.levels[0].decode.preimage)
+                     - cert.levels[0].tail_trim]
+
+
+@pytest.mark.parametrize("front, chain, seed", [
+    (bytes([0, 1, 2, 1]) * 20, "f", 0),
+    (bytes([1, 2, 1, 0]) * 15, "h", 1),
+], ids=["proper", "antiproper"])
+def test_decompose_searches_every_level_behind_a_front(front, chain, seed):
+    # each level forgives violations at its front, so none is clean from
+    # its first letter, and each keeps its search
+    level = Word(front + named(chain).iterate_prefix(seed, 5000).letters, 3)
+    cert, scans = phase_one_scans(named("g").apply(level), 1)
+    assert [lv.proper.trim > 0 for lv in cert.levels] == [True, True]
+    assert len(scans) == len(cert.levels) == 2
+
+
 @pytest.mark.parametrize(
     "front, chain, seed, mirrored, trim, most, bisections", [
         (bytes([0, 1, 2, 1]) * 20, "f", 0, False, 64, 309, 930),
