@@ -43,10 +43,6 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
-class SourceError(ValueError):
-    pass
-
-
 def _read_word_line(path: str, limit: int | None) -> str:
     stream = sys.stdin if path == "-" else open(
         path, "r", encoding="utf-8", errors="replace")
@@ -66,7 +62,7 @@ def _read_word_line(path: str, limit: int | None) -> str:
             stream.close()
     if word:
         return word
-    raise SourceError(f"no word found in {'stdin' if path == '-' else path}")
+    raise ValueError(f"no word found in {'stdin' if path == '-' else path}")
 
 
 def _infer_word(text: str, alphabet_size: int | None) -> Word:
@@ -104,22 +100,22 @@ def parse_source(spec: str, alphabet_size: int | None = None,
             _check_limit(head, length, limit)
             return m.iterate_prefix(seed, length)
         except (ValueError, KeyError) as exc:
-            raise SourceError(f"bad fixpoint spec {spec!r}: {exc.args[0]}") from exc
+            raise ValueError(f"bad fixpoint spec {spec!r}: {exc.args[0]}") from exc
     if head == "image":
         name, _, inner = rest.partition(":")
         if not inner:
-            raise SourceError(f"image spec needs an inner source: {spec!r}")
+            raise ValueError(f"image spec needs an inner source: {spec!r}")
         try:
             m = named(name)
         except KeyError as exc:
-            raise SourceError(exc.args[0]) from exc
+            raise ValueError(exc.args[0]) from exc
         w = parse_source(inner, m.source_alphabet, limit)
         _check_limit(head, sum(w.letters.count(a) * len(img)
                                for a, img in enumerate(m.images)), limit)
         return m.apply(w)
     if head == "complement":
         if not rest:
-            raise SourceError("complement spec needs an inner source")
+            raise ValueError("complement spec needs an inner source")
         return complement(parse_source(rest, alphabet_size, limit))
     if head == "literal":
         _check_limit(head, len(rest), limit)
@@ -161,8 +157,8 @@ def _cmd_verify_paper(args) -> Outcome:
                     and isinstance(row[0], list)
                     and all(isinstance(f, str) for f in row[0])
                     and type(row[1]) is int):   # bool and float are refused
-                raise SourceError(f"--expected-table row {json.dumps(row)} "
-                                  "is not [[factor strings...], int]")
+                raise ValueError(f"--expected-table row {json.dumps(row)} "
+                                 "is not [[factor strings...], int]")
         rows = [(tuple(fb), expected) for fb, expected in table]
     checks, lines = [], []
 
@@ -279,10 +275,10 @@ def _cmd_generate(args) -> Outcome:
 
 def _cmd_complexity(args) -> Outcome:
     if args.max_n < 1:
-        raise SourceError("--max-n must be at least 1")
+        raise ValueError("--max-n must be at least 1")
     w = _load_input(args)
     if len(w) < args.safety * args.max_n:
-        raise SourceError(
+        raise ValueError(
             f"word of length {len(w)} is too short for max_n {args.max_n}; "
             f"provide at least {args.safety * args.max_n} letters "
             f"(safety factor {args.safety})")
@@ -311,7 +307,7 @@ def _cmd_check_power(args) -> Outcome:
     except (ValueError, ZeroDivisionError) as exc:
         why = ("its denominator is zero" if isinstance(exc, ZeroDivisionError)
                else exc)
-        raise SourceError(f"bad threshold {args.threshold!r}: {why}") from exc
+        raise ValueError(f"bad threshold {args.threshold!r}: {why}") from exc
     witness = is_power_free(w, threshold, args.strict)
     if witness is None:
         kind = f"{text}{'+' if args.strict else ''}"
@@ -435,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for name in ("limit", "seed_trim", "min_level_length", "safety"):
             if getattr(args, name, 0) < 0:   # else read as 0 or an unmet bound
-                raise SourceError(
+                raise ValueError(
                     f"--{name.replace('_', '-')} must be non-negative")
         for name in ("target", "max_n"):    # a search depth or table rows
             value = getattr(args, name, 0)

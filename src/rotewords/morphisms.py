@@ -68,9 +68,6 @@ class Morphism(Record):
     def non_erasing(self) -> bool:
         return all(len(img) > 0 for img in self.images)
 
-    def image(self, letter: int) -> Word:
-        return self.images[letter]
-
     def apply(self, w: Word) -> Word:
         """Concatenate the images of w's letters."""
         if w.alphabet_size != self.source_alphabet:

@@ -181,11 +181,9 @@ def forgiving_scan(u: Word, trim_bound: int = 0, *, mirrored: bool = False,
     them into u in one expression; one rule skips a start before the
     trim, reports one at or past the bound and forgives any other.
 
-    With ``xyxyx`` False the stream stops after the forbidden factors: the
-    same report when u holds no dominated xyxyx, as ``decompose`` knows
-    below a level holding none.  A non-erasing m maps one in v to
-    m(x)m(y)m(x)m(y)m(x) in m(v), whose gap M(P(x) - P(y)) >= 0 is nonzero
-    as no column of m's count matrix M is zero; reversal keeps both.
+    With ``xyxyx`` False the stream stops after the forbidden factors and
+    runs no xyxyx search: the same report when u holds no dominated xyxyx,
+    which ``decompose``'s docstring shows below a level that holds none.
     """
     if u.alphabet_size != 3:
         raise AlphabetError("properness is defined for ternary words")

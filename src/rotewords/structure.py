@@ -62,8 +62,8 @@ from itertools import product
 
 from .morphisms import _LETTERS, _PLACEHOLDERS, Morphism, named
 from .properness import PropernessReport, forgiving_scan
-from .words import (AlphabetError, LengthLimitError, Record, Word, _FLIP,
-                    _json, complement, parikh, parse_word)
+from .words import (AlphabetError, LengthLimitError, ParseError, Record,
+                    Word, _FLIP, _json, complement, parikh, parse_word)
 
 
 class CaseTag(Enum):
@@ -150,12 +150,8 @@ def classify_by_length4(w: Word) -> FactorClass:
     return FactorClass(offenders=offenders)
 
 
-class DecodeError(ValueError):
+class DecodeError(ParseError):
     """A word is not a margin-trimmed image of the requested morphism."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
-        self.position = position
 
 
 class DecodeResult(Record):

@@ -103,7 +103,8 @@ class Record:
 
 
 class Word(Record):
-    """A finite word; ``letters[i]`` is the integer letter at position i."""
+    """A finite word; ``letters[i]`` is the integer letter at position i,
+    and ``to_json()`` is its digit string."""
 
     letters: bytes
     alphabet_size: int
@@ -146,11 +147,11 @@ class Word(Record):
     def __repr__(self) -> str:
         return f"Word({str(self)!r}, k={self.alphabet_size})"
 
+    to_json = __str__
+
 
 def _json(value):
-    """Word -> digit string, tuple -> list, result -> its to_json()."""
-    if isinstance(value, Word):
-        return str(value)
+    """tuple -> list, result or word -> its to_json()."""
     if isinstance(value, tuple):
         return [_json(v) for v in value]
     return value.to_json() if hasattr(value, "to_json") else value

@@ -183,6 +183,44 @@ MUTANTS = (
            "given.get(flag, default)",
            "given.get(flag, default or None)",
            ("tests/test_cli_reader.py", "-k", "matches_argparse")),
+    # a word's JSON as its repr, which json.dumps takes, not its digits
+    Mutant("word-json-as-repr", "words.py",
+           "    to_json = __str__\n",
+           "    to_json = __repr__\n",
+           ("tests/test_records.py",)),
+    # no band: every period goes through the packed test and its mask, so
+    # the scan's work grows with the square of the word
+    Mutant("band-stride-off", "repetitions.py",
+           "_BAND_STRIDE = 48",
+           "_BAND_STRIDE = 10**9",
+           ("tests/test_growth.py",)),
+    # decode taking any tail, not only a proper prefix of an image
+    Mutant("decode-any-tail", "structure.py",
+           "if 0xFF in letters or tail and tail not in prefixes:",
+           "if 0xFF in letters:",
+           ("tests/test_structure.py",)),
+    # whole images among the prefixes: decompose trims every level that
+    # decoded to its end
+    Mutant("grammar-prefixes-take-whole-images", "structure.py",
+           "for i in range(1, len(img)))",
+           "for i in range(1, len(img) + 1))",
+           ("tests/test_same_answers.py",)),
+    # every other cut of a sample skipped, once samples are t > 1 apart
+    Mutant("windows-skip-odd-cuts", "words.py",
+           "for i in range(step)}",
+           "for i in range(0, step, 2)}",
+           ("tests/test_words.py",)),
+    # an image's length counted one letter short per inner letter, so an
+    # image over --limit is built
+    Mutant("image-limit-undercounted", "cli.py",
+           "w.letters.count(a) * len(img)",
+           "w.letters.count(a) * (len(img) - 1)",
+           ("tests/test_cli.py", "-k", "limit")),
+    # a file line one letter over --limit read as a word
+    Mutant("file-line-one-over-limit", "cli.py",
+           "min(limit + 1, sys.maxsize)",
+           "min(limit + 2, sys.maxsize)",
+           ("tests/test_cli.py", "-k", "limit")),
 )
 
 

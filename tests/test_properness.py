@@ -41,7 +41,7 @@ def test_search_without_stretches_builds_no_counts():
     with mock.patch.object(properness, "accumulate",
                            side_effect=AssertionError("counts built")):
         assert properness._xyxyx_search(bytes([0, 1, 2, 0, 1, 2]), 3,
-                                        lambda: (0, 6)) == ()
+                                        lambda: 6) == ()
 
 
 def test_find_matches_brute_force_exhaustively():

@@ -2,6 +2,8 @@
 instance each: its repr, equality and hash, immutability and JSON.  These
 hold whatever builds the records, dataclass or otherwise."""
 
+import json
+
 import pytest
 
 from rotewords import (CaseTag, DecodeResult, DecompositionCertificate,
@@ -159,3 +161,14 @@ def test_immutable(name):
 @pytest.mark.parametrize("name", sorted(JSONS))
 def test_to_json(name):
     assert build()[name].to_json() == JSONS[name]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_to_json_is_json(name):
+    # Word, Exponent and Morphism included, which JSONS leaves out
+    json.dumps(build()[name].to_json())
+
+
+def test_word_json_is_its_digit_string():
+    w = build()["Word"]
+    assert w.to_json() == str(w) == "0110"

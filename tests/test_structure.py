@@ -8,10 +8,10 @@ import pytest
 
 from rotewords import (AlphabetError, CaseTag, ClassificationError,
                        DecodeError, DecompositionError, FACTOR_SETS,
-                       LengthLimitError, Word, classify_by_length4, complement,
-                       decompose, f_decode, factor_complexity, forgiving_scan,
-                       g_decode, generate_case_word, h_decode, is_power_free,
-                       named, parse_word, reverse)
+                       LengthLimitError, ParseError, Word, classify_by_length4,
+                       complement, decompose, f_decode, factor_complexity,
+                       forgiving_scan, g_decode, generate_case_word, h_decode,
+                       is_power_free, named, parse_word, reverse)
 
 from rotewords import properness, structure
 from rotewords.repetitions import _runs
@@ -109,6 +109,14 @@ def test_g_decode_error_names_the_block_start():
     # 0111 at position 3 is not a g-image; the error points at its 0
     with pytest.raises(DecodeError) as err:
         g_decode(w2("0100111"))
+    assert err.value.position == 3
+
+
+def test_decode_error_is_a_parse_error():
+    # a word that is no image fails to parse at a position, as bad digits do
+    with pytest.raises(ParseError) as err:
+        g_decode(w2("0100111"))
+    assert isinstance(err.value, DecodeError)
     assert err.value.position == 3
 
 
